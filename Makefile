@@ -27,8 +27,11 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# The benchmark driver is its own module (_perfbench/go.mod), so
+# ./... does not reach its quantile and self-time tests.
 test:
 	$(GO) test ./...
+	$(GO) -C _perfbench test .
 
 race:
 	$(GO) test -race $(RACE_PKGS)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -290,8 +291,7 @@ func (s *server) askHandler(forceAlgo string, explain bool) http.HandlerFunc {
 	return func(rw http.ResponseWriter, r *http.Request) {
 		submit := s.clock()
 		var req askRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.badRequestf(rw, "decode request: %v", err)
+		if !s.decodeRequest(rw, r, &req) {
 			return
 		}
 		if forceAlgo != "" {
@@ -449,8 +449,7 @@ type askAllStatsJSON struct {
 func (s *server) handleAskAll(rw http.ResponseWriter, r *http.Request) {
 	submit := s.clock()
 	var req askAllRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.badRequestf(rw, "decode request: %v", err)
+	if !s.decodeRequest(rw, r, &req) {
 		return
 	}
 	if len(req.Jobs) == 0 {
@@ -668,6 +667,30 @@ func (s *server) reject(rw http.ResponseWriter, status int) {
 		// The client is gone; there is no one to write to.
 		s.stats.clientGone.Add(1)
 	}
+}
+
+// maxRequestBody bounds a request body. Reading stops at the limit, so
+// a hostile client cannot make the server buffer an unbounded body.
+const maxRequestBody = 8 << 20
+
+// decodeRequest decodes r's JSON body into v, reading at most
+// maxRequestBody bytes. On failure it writes the error response, 413
+// for an oversized body and 400 otherwise, and returns false. Both
+// count as bad requests.
+func (s *server) decodeRequest(rw http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.stats.badRequest.Add(1)
+		s.writeError(rw, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body over %d bytes", maxRequestBody))
+		return false
+	}
+	s.badRequestf(rw, "decode request: %v", err)
+	return false
 }
 
 func (s *server) badRequestf(rw http.ResponseWriter, format string, args ...interface{}) {

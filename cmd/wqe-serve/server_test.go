@@ -363,3 +363,37 @@ func TestLoadHandlesSnapshot(t *testing.T) {
 		t.Error("missing graph file accepted")
 	}
 }
+
+// TestRequestBodyLimit pins the request-size bound on both decoding
+// handlers: a body over maxRequestBody is refused with 413 before it is
+// decoded, a malformed body within the limit stays a 400, and both
+// count as bad requests.
+func TestRequestBodyLimit(t *testing.T) {
+	srv, _ := newTestServer(t, 2, 8)
+	mux := srv.mux()
+	huge := `{"graph":"` + strings.Repeat("a", maxRequestBody) + `"}`
+	post := func(endpoint, body string) (int, string) {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, endpoint, strings.NewReader(body)))
+		var out struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("%s: undecodable error body %q: %v", endpoint, rec.Body.String(), err)
+		}
+		return rec.Code, out.Error
+	}
+	for _, ep := range []string{"/ask", "/askall"} {
+		if code, msg := post(ep, huge); code != http.StatusRequestEntityTooLarge ||
+			!strings.Contains(msg, "request body over") {
+			t.Errorf("%s oversized body: %d %q, want 413", ep, code, msg)
+		}
+		if code, msg := post(ep, `{"graph":`); code != http.StatusBadRequest ||
+			!strings.HasPrefix(msg, "decode request:") {
+			t.Errorf("%s malformed body: %d %q, want 400", ep, code, msg)
+		}
+	}
+	if got := srv.stats.badRequest.Load(); got != 4 {
+		t.Errorf("bad requests counted: %d, want 4", got)
+	}
+}

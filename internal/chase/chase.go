@@ -217,8 +217,10 @@ type Why struct {
 	// partnerCache memoizes refinement partner sets across chase states:
 	// the partners of a focus match at a pattern node depend only on the
 	// node's matching signature and the exploration radius, not on the
-	// rest of the rewrite.
+	// rest of the rewrite. partnerSigs interns the signatures the
+	// cache keys carry.
 	partnerCache map[partnerCacheKey][]graph.NodeID
+	partnerSigs  map[string]int32
 
 	// Stats accumulates search effort across one algorithm run. It is
 	// written only by the algorithm goroutine (beginRun/endRun and the
@@ -246,6 +248,10 @@ type Stats struct {
 	CacheHits  int64
 	CacheMiss  int64
 	Trajectory []Sample // best-closeness-over-time curve (anytime)
+	// PartnerSets counts refinement partner sets computed by BFS and
+	// PartnerHits those served from the Why's partner memo.
+	PartnerSets int
+	PartnerHits int
 }
 
 // Sample is one point of the anytime trajectory.
@@ -304,6 +310,7 @@ func newWhyWith(g *graph.Graph, q *query.Query, e *exemplar.Exemplar, cfg Config
 		params:       ops.Params{MaxBound: cfg.MaxBound},
 		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
 		partnerCache: map[partnerCacheKey][]graph.NodeID{},
+		partnerSigs:  map[string]int32{},
 		//lint:ignore detsource injectable-clock default; only TimeLimit cutoffs and Elapsed stats read it, never ranking
 		clock: time.Now,
 	}

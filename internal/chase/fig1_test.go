@@ -201,3 +201,23 @@ func TestFig1TopK(t *testing.T) {
 		}
 	}
 }
+
+// TestFig1PartnerCounters pins the partner-set counters of AnsW on the
+// running example. The counters reset per run while the partner memo
+// lives on the Why, so a second run computes no set by BFS and serves
+// every lookup the first run made from the memo.
+func TestFig1PartnerCounters(t *testing.T) {
+	_, w := newFig1Why(t, chase.Config{})
+	w.AnsW()
+	first := w.Stats
+	w.AnsW()
+	second := w.Stats
+	if first.PartnerSets != 13 || first.PartnerHits != 138 {
+		t.Errorf("first run: %d partner sets, %d memo hits; want 13, 138",
+			first.PartnerSets, first.PartnerHits)
+	}
+	if second.PartnerSets != 0 || second.PartnerHits != 151 {
+		t.Errorf("second run: %d partner sets, %d memo hits; want 0, 151",
+			second.PartnerSets, second.PartnerHits)
+	}
+}

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"math"
 	"sort"
 	"strings"
 
@@ -20,12 +21,13 @@ import (
 type partnerMap struct {
 	w *Why
 	q *query.Query
-	// dist caps per pattern node: PatternDist(u_o, u), capped at
-	// maxPartnerHops (ball sizes explode on power-law graphs).
-	pd map[query.NodeID]int
-	// sig caches each pattern node's matching signature, the
-	// Why-level cache key component.
-	sig map[query.NodeID]string
+	// Per pattern node: the BFS radius PatternDist(u_o, u), capped at
+	// maxPartnerHops (ball sizes explode on power-law graphs); the
+	// interned matching signature, the Why-level cache key component;
+	// and the compiled candidate check.
+	pd    []int
+	sig   []int32
+	check []query.NodeCheck
 }
 
 // maxPartnerHops bounds partner exploration; beyond it partner sets
@@ -40,58 +42,64 @@ const maxPartnerHops = 4
 const maxPartnersScored = 96
 
 // partnerCacheKey identifies a partner set: focus match, radius, and
-// the pattern node's matching signature.
+// the pattern node's interned matching signature.
 type partnerCacheKey struct {
 	v   graph.NodeID
 	pd  int
-	sig string
+	sig int32
 }
 
 func newPartnerMap(w *Why, q *query.Query) *partnerMap {
+	n := len(q.Nodes)
 	pm := &partnerMap{w: w, q: q,
-		pd:  map[query.NodeID]int{},
-		sig: map[query.NodeID]string{}}
-	for u := range q.Nodes {
-		d := q.PatternDist(q.Focus, query.NodeID(u))
+		pd:    make([]int, n),
+		sig:   make([]int32, n),
+		check: make([]query.NodeCheck, n)}
+	for ui, nd := range q.Nodes {
+		u := query.NodeID(ui)
+		d := q.PatternDist(q.Focus, u)
 		if d == graph.Unreachable || d > maxPartnerHops {
 			d = maxPartnerHops
 		}
-		pm.pd[query.NodeID(u)] = d
-		n := q.Nodes[u]
-		parts := make([]string, 0, len(n.Literals)+1)
-		parts = append(parts, n.Label)
-		for _, l := range n.Literals {
+		pm.pd[u] = d
+		parts := make([]string, 0, len(nd.Literals)+1)
+		parts = append(parts, nd.Label)
+		for _, l := range nd.Literals {
 			parts = append(parts, l.String())
 		}
 		sort.Strings(parts[1:])
-		pm.sig[query.NodeID(u)] = strings.Join(parts, "|")
+		sig := strings.Join(parts, "|")
+		id, ok := w.partnerSigs[sig]
+		if !ok {
+			id = int32(len(w.partnerSigs))
+			w.partnerSigs[sig] = id
+		}
+		pm.sig[u] = id
+		pm.check[u] = q.Check(w.G, u)
 	}
 	return pm
 }
 
 // partners returns the candidate partners of focus match v at pattern
-// node u. Results are memoized on the Why across chase states: they
-// depend only on v, u's matching signature, and the radius.
+// node u: the first maxPartnersScored candidates in BFS order, sorted.
+// Results are memoized on the Why across chase states: they depend
+// only on v, u's matching signature, and the radius.
 func (pm *partnerMap) partners(v graph.NodeID, u query.NodeID) []graph.NodeID {
 	if u == pm.q.Focus {
 		return []graph.NodeID{v}
 	}
 	key := partnerCacheKey{v: v, pd: pm.pd[u], sig: pm.sig[u]}
 	if p, ok := pm.w.partnerCache[key]; ok {
+		pm.w.Stats.PartnerHits++
 		return p
 	}
-	check := pm.q.Check(pm.w.G, u)
+	pm.w.Stats.PartnerSets++
 	var out []graph.NodeID
-	for _, nd := range pm.w.G.Ball(v, pm.pd[u], graph.Both) {
-		if nd.D == 0 {
-			continue
-		}
-		if check.Candidate(pm.w.G, nd.V) {
-			out = append(out, nd.V)
-			if len(out) >= maxPartnersScored {
-				break
-			}
-		}
+	check := &pm.check[u]
+	if label, live := check.LabelID(); live {
+		g := pm.w.G
+		out = g.BallFirst(v, pm.pd[u], graph.Both, maxPartnersScored, label,
+			func(p graph.NodeID) bool { return p != v && check.Candidate(g, p) })
 	}
 	sortNodes(out)
 	pm.w.partnerCache[key] = out
@@ -116,7 +124,6 @@ func (w *Why) GenRefine(q *query.Query, res *match.Result, used map[string]bool,
 	pm := newPartnerMap(w, q)
 
 	acc := map[opIdent]*accum{}
-	nf := float64(len(w.FocusCands))
 	add := func(o ops.Op, pickyEdge int, removedIM []graph.NodeID, removedRM []graph.NodeID) {
 		if len(removedIM) == 0 {
 			return // no hope of improving closeness
@@ -137,7 +144,6 @@ func (w *Why) GenRefine(q *query.Query, res *match.Result, used map[string]bool,
 			a.gain[v] = true
 		}
 		a.total = w.Cfg.Lambda*float64(len(removedIM)) - rmLoss
-		_ = nf
 		acc[key] = a
 	}
 
@@ -175,57 +181,104 @@ func (w *Why) GenRefine(q *query.Query, res *match.Result, used map[string]bool,
 
 // genAddL: for each pattern node u and attribute value carried by an
 // RM-supporting match of u and not yet constrained in F_Q(u), propose
-// AddL(u, A = a) hoping irrelevant matches fail it.
+// AddL(u, A = a) hoping irrelevant matches fail it. Values rank by how
+// many RM partners carry them, ties broken by the key "A=a#kind"; a
+// key's literal carries the value seen last under it.
 func (w *Why) genAddL(q *query.Query, rm []graph.NodeID, pm *partnerMap,
 	used map[string]bool,
 	add func(ops.Op, int, []graph.NodeID, []graph.NodeID),
 	removedBy func(query.NodeID, func(graph.NodeID) bool) ([]graph.NodeID, []graph.NodeID)) {
 
 	const maxValuesPerAttr = 6
+	// exactVal identifies an attribute value bit for bit: float keys
+	// would merge -0 with +0 and never find a NaN again.
+	type exactVal struct {
+		aid  int32
+		kind graph.ValueKind
+		bits uint64
+		str  string
+	}
+	type valueCount struct {
+		aid         int32
+		val         graph.Value
+		count, last int
+	}
+	// valueClass is one ranking key with its summed count and the
+	// value seen last among the exact values rendering to it.
+	type valueClass struct {
+		key string
+		valueCount
+	}
+	numAttrs := w.G.Attrs.Len()
 	for ui := range q.Nodes {
 		u := query.NodeID(ui)
-		// Count attribute values over RM partners at u.
-		type av struct {
-			attr string
-			val  graph.Value
-		}
-		counts := map[string]int{}
-		reprs := map[string]av{}
+		// Count exact attribute values over RM partners at u. skip
+		// holds, per attribute id, 0 (undecided), 1 (counted) or 2
+		// (already constrained in F_Q(u) or a used target).
+		skip := make([]int8, numAttrs)
+		index := map[exactVal]int{}
+		var counts []valueCount
+		seen := 0
 		for _, vrm := range rm {
 			for _, p := range pm.partners(vrm, u) {
 				for _, t := range w.G.Tuple(p) {
-					attr := w.G.Attrs.Name(t.Attr)
-					if q.FindLiteral(u, attr, graph.EQ) >= 0 {
+					if skip[t.Attr] == 0 {
+						attr := w.G.Attrs.Name(t.Attr)
+						skip[t.Attr] = 1
+						if q.FindLiteral(u, attr, graph.EQ) >= 0 || used[litTarget(u, attr)] {
+							skip[t.Attr] = 2
+						}
+					}
+					if skip[t.Attr] == 2 {
 						continue
 					}
-					if used[litTarget(u, attr)] {
-						continue
+					k := exactVal{aid: t.Attr, kind: t.Val.Kind, bits: math.Float64bits(t.Val.Num), str: t.Val.Str}
+					i, ok := index[k]
+					if !ok {
+						i = len(counts)
+						index[k] = i
+						counts = append(counts, valueCount{aid: t.Attr, val: t.Val})
 					}
-					key := attr + "=" + t.Val.String() + kindOf(t.Val)
-					counts[key]++
-					reprs[key] = av{attr: attr, val: t.Val}
+					seen++
+					counts[i].count++
+					counts[i].last = seen
 				}
 			}
 		}
-		keys := make([]string, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if counts[keys[i]] != counts[keys[j]] {
-				return counts[keys[i]] > counts[keys[j]]
+		// Merge exact values into ranking keys, rendered once each.
+		classOf := map[string]int{}
+		var classes []valueClass
+		for _, c := range counts {
+			key := w.G.Attrs.Name(c.aid) + "=" + c.val.String() + kindOf(c.val)
+			i, ok := classOf[key]
+			if !ok {
+				i = len(classes)
+				classOf[key] = i
+				classes = append(classes, valueClass{key: key})
 			}
-			return keys[i] < keys[j]
+			cl := &classes[i]
+			cl.count += c.count
+			if c.last > cl.last {
+				cl.aid, cl.val, cl.last = c.aid, c.val, c.last
+			}
+		}
+		sort.Slice(classes, func(i, j int) bool {
+			if classes[i].count != classes[j].count {
+				return classes[i].count > classes[j].count
+			}
+			return classes[i].key < classes[j].key
 		})
-		perAttr := map[string]int{}
-		for _, k := range keys {
-			x := reprs[k]
-			if perAttr[x.attr] >= maxValuesPerAttr {
+		perAttr := make([]int, numAttrs)
+		for _, c := range classes {
+			if perAttr[c.aid] >= maxValuesPerAttr {
 				continue
 			}
-			perAttr[x.attr]++
-			lit := query.Literal{Attr: x.attr, Op: graph.EQ, Val: x.val}
-			imOut, rmOut := removedBy(u, func(p graph.NodeID) bool { return lit.Sat(w.G, p) })
+			perAttr[c.aid]++
+			lit := query.Literal{Attr: w.G.Attrs.Name(c.aid), Op: graph.EQ, Val: c.val}
+			imOut, rmOut := removedBy(u, func(p graph.NodeID) bool {
+				val, ok := w.G.AttrByID(p, c.aid)
+				return ok && lit.Op.Holds(val, lit.Val)
+			})
 			add(ops.Op{Kind: ops.AddL, U: u, Lit: lit}, -1, imOut, rmOut)
 		}
 	}

@@ -112,3 +112,64 @@ func TupleCloseness(g *graph.Graph, v graph.NodeID, t TuplePattern) float64 {
 	}
 	return total / float64(len(t))
 }
+
+// compiledTuple is a tuple pattern resolved against one graph once:
+// cells in sorted attribute order with their attribute ids and active
+// domains, so scoring every node skips TupleCloseness's per-node sort,
+// name lookups and domain-cache locking while summing in the same
+// order, which keeps the result bit-identical.
+type compiledTuple struct {
+	cells []compiledCell
+	n     float64 // |A(t)|
+}
+
+type compiledCell struct {
+	kind  CellKind
+	aid   int32
+	known bool // the attribute is interned in the graph
+	val   graph.Value
+	dom   *graph.Domain // Const cells of known attributes only
+}
+
+func compileTuple(g *graph.Graph, t TuplePattern) compiledTuple {
+	ct := compiledTuple{n: float64(len(t))}
+	for _, attr := range t.SortedAttrs() {
+		cell := t[attr]
+		aid, known := g.Attrs.Lookup(attr)
+		cc := compiledCell{kind: cell.Kind, aid: aid, known: known, val: cell.Val}
+		if cell.Kind == Const && known {
+			cc.dom = g.ActiveDomain(attr)
+		}
+		ct.cells = append(ct.cells, cc)
+	}
+	return ct
+}
+
+// closeness returns TupleCloseness(g, v, t) for the compiled t.
+func (ct *compiledTuple) closeness(g *graph.Graph, v graph.NodeID) float64 {
+	if len(ct.cells) == 0 {
+		return 0
+	}
+	var total float64
+	for i := range ct.cells {
+		c := &ct.cells[i]
+		var val graph.Value
+		ok := false
+		if c.known && c.kind != Wildcard {
+			val, ok = g.AttrByID(v, c.aid)
+		}
+		switch c.kind {
+		case Wildcard:
+			total++
+		case Var:
+			if ok {
+				total++
+			}
+		case Const:
+			if ok {
+				total += cellSim(val, c.val, c.dom)
+			}
+		}
+	}
+	return total / ct.n
+}

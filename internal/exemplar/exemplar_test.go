@@ -2,6 +2,7 @@ package exemplar
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -420,6 +421,51 @@ func TestExemplarJSONErrors(t *testing.T) {
 	for _, s := range bad {
 		if _, err := ReadJSON(bytes.NewBufferString(s)); err == nil {
 			t.Errorf("ReadJSON(%q) should fail", s)
+		}
+	}
+}
+
+// TestCompiledTupleMatchesTupleCloseness checks the scan's compiled
+// tuple patterns against TupleCloseness bit for bit on every node of a
+// random graph with missing attributes, near-miss numbers and strings,
+// variables, wildcards and an attribute no node carries.
+func TestCompiledTupleMatchesTupleCloseness(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := graph.New()
+	names := []string{"alpha", "alps", "beta", "gamma", ""}
+	for i := 0; i < 300; i++ {
+		attrs := map[string]graph.Value{}
+		if rng.Intn(5) > 0 {
+			attrs["price"] = graph.N(float64(rng.Intn(1000)) / 7)
+		}
+		if rng.Intn(4) > 0 {
+			attrs["name"] = graph.S(names[rng.Intn(len(names))])
+		}
+		if rng.Intn(3) > 0 {
+			attrs["year"] = graph.N(float64(1990 + rng.Intn(30)))
+		}
+		if rng.Intn(6) == 0 {
+			attrs["mixed"] = graph.S("12")
+		} else if rng.Intn(2) == 0 {
+			attrs["mixed"] = graph.N(12)
+		}
+		g.AddNode("P", attrs)
+	}
+	patterns := []TuplePattern{
+		{},
+		{"price": C(graph.N(100)), "name": C(graph.S("alpha")), "year": C(graph.N(2001))},
+		{"price": C(graph.N(3.5)), "name": V("n"), "year": W()},
+		{"name": C(graph.S("alp")), "mixed": C(graph.N(12)), "color": C(graph.S("red"))},
+		{"color": V("c"), "size": W(), "price": V("p"), "mixed": C(graph.S("12"))},
+	}
+	for pi, p := range patterns {
+		ct := compileTuple(g, p)
+		for i := 0; i < g.NumNodes(); i++ {
+			v := graph.NodeID(i)
+			want, got := TupleCloseness(g, v, p), ct.closeness(g, v)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("pattern %d node %d: compiled %v, TupleCloseness %v", pi, v, got, want)
+			}
 		}
 	}
 }

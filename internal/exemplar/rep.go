@@ -65,13 +65,17 @@ const errTooManyTuples = evalError("exemplar: more than 64 tuple patterns")
 // similarity matches.
 func (ev *Eval) scan() {
 	ev.match = map[graph.NodeID]nodeMatch{}
+	tuples := make([]compiledTuple, len(ev.E.Tuples))
+	for ti, t := range ev.E.Tuples {
+		tuples[ti] = compileTuple(ev.G, t)
+	}
 	n := ev.G.NumNodes()
 	for i := 0; i < n; i++ {
 		v := graph.NodeID(i)
 		var mask uint64
 		best := 0.0
-		for ti, t := range ev.E.Tuples {
-			cl := TupleCloseness(ev.G, v, t)
+		for ti := range tuples {
+			cl := tuples[ti].closeness(ev.G, v)
 			if cl >= ev.Opts.Theta {
 				mask |= 1 << uint(ti)
 				if cl > best {

@@ -25,10 +25,12 @@ type NodeDist struct {
 }
 
 // bfsScratch is an epoch-stamped visited array reused across BFS runs;
-// clearing is O(1) per run (bump the stamp) instead of O(|V|).
+// clearing is O(1) per run (bump the stamp) instead of O(|V|). The
+// queue is BallFirst's frontier, kept so repeated searches reuse it.
 type bfsScratch struct {
 	seen  []uint32
 	stamp uint32
+	queue []NodeID
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return &bfsScratch{} }}
@@ -81,6 +83,68 @@ func (g *Graph) Ball(v NodeID, maxHops int, dir Direction) []NodeDist {
 					if sc.seen[e.To] != sc.stamp {
 						sc.seen[e.To] = sc.stamp
 						out = append(out, NodeDist{V: e.To, D: d})
+					}
+				}
+			}
+		}
+		start = end
+	}
+	return out
+}
+
+// BallFirst returns, in Ball's BFS order, the first limit nodes within
+// maxHops of v that carry the interned label (0, the wildcard, admits
+// every node) and satisfy keep. The origin v is visited first, as in
+// Ball. The search stops at the limit-th kept node, so the result
+// equals filtering Ball's output and truncating it, without visiting
+// the rest of the ball. keep is called only for nodes with the right
+// label. The returned slice is freshly allocated and owned by the
+// caller; it is nil when nothing is kept or limit < 1.
+func (g *Graph) BallFirst(v NodeID, maxHops int, dir Direction, limit int, label int32, keep func(NodeID) bool) []NodeID {
+	if limit < 1 {
+		return nil
+	}
+	g.ensure()
+	sc := g.scratch()
+	defer scratchPool.Put(sc)
+	var out []NodeID
+	// visit reports whether the search is done.
+	visit := func(u NodeID) bool {
+		if (label == 0 || g.labels[u] == label) && keep(u) {
+			out = append(out, u)
+		}
+		return len(out) >= limit
+	}
+	queue := append(sc.queue[:0], v)
+	defer func() { sc.queue = queue[:0] }()
+	sc.seen[v] = sc.stamp
+	if visit(v) {
+		return out
+	}
+	start := 0
+	for d := 1; d <= maxHops && start < len(queue); d++ {
+		end := len(queue)
+		for i := start; i < end; i++ {
+			u := queue[i]
+			if dir == Forward || dir == Both {
+				for _, e := range g.outEdges[g.outOff[u]:g.outOff[u+1]] {
+					if sc.seen[e.To] != sc.stamp {
+						sc.seen[e.To] = sc.stamp
+						queue = append(queue, e.To)
+						if visit(e.To) {
+							return out
+						}
+					}
+				}
+			}
+			if dir == Backward || dir == Both {
+				for _, e := range g.inEdges[g.inOff[u]:g.inOff[u+1]] {
+					if sc.seen[e.To] != sc.stamp {
+						sc.seen[e.To] = sc.stamp
+						queue = append(queue, e.To)
+						if visit(e.To) {
+							return out
+						}
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -214,6 +215,54 @@ func TestBallFirstEntryIsOrigin(t *testing.T) {
 	ball := g.Ball(1, 2, Forward)
 	if len(ball) == 0 || ball[0].V != 1 || ball[0].D != 0 {
 		t.Errorf("Ball must start with (origin, 0): %v", ball)
+	}
+}
+
+// TestBallFirstMatchesFilteredBall cross-checks the early-exit search
+// against its definition: filter Ball's BFS order by label and keep,
+// then truncate at limit. It also checks that keep never sees a node
+// of the wrong label.
+func TestBallFirstMatchesFilteredBall(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		g := randomGraph(25, 60, seed)
+		lidB, _ := g.Labels.Lookup("B")
+		xid, _ := g.Attrs.Lookup("x")
+		for _, label := range []int32{0, lidB} {
+			keep := func(v NodeID) bool {
+				if label != 0 && g.LabelID(v) != label {
+					t.Fatalf("seed %d: keep called on node %d of label %d, want %d",
+						seed, v, g.LabelID(v), label)
+				}
+				x, _ := g.AttrByID(v, xid)
+				return int(x.Num)%3 != 0
+			}
+			for _, dir := range []Direction{Forward, Backward, Both} {
+				for src := NodeID(0); src < 25; src += 8 {
+					for hops := 0; hops <= 5; hops++ {
+						var all []NodeID
+						for _, nd := range g.Ball(src, hops, dir) {
+							if (label == 0 || g.LabelID(nd.V) == label) && keep(nd.V) {
+								all = append(all, nd.V)
+							}
+						}
+						for limit := 1; limit <= g.NumNodes(); limit++ {
+							want := all
+							if len(want) > limit {
+								want = want[:limit]
+							}
+							got := g.BallFirst(src, hops, dir, limit, label, keep)
+							if !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {
+								t.Fatalf("seed %d label %d dir %d src %d hops %d limit %d: got %v, want %v",
+									seed, label, dir, src, hops, limit, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+		if got := g.BallFirst(0, 5, Both, 0, 0, func(NodeID) bool { return true }); got != nil {
+			t.Fatalf("seed %d: limit 0 returned %v, want nil", seed, got)
+		}
 	}
 }
 

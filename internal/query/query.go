@@ -476,6 +476,10 @@ func (q *Query) Check(g *graph.Graph, u NodeID) NodeCheck {
 	return c
 }
 
+// LabelID returns the interned label a candidate must carry (0 for the
+// wildcard) and whether any node of g can be a candidate at all.
+func (c *NodeCheck) LabelID() (int32, bool) { return c.labelID, !c.dead }
+
 // Candidate reports whether v satisfies the compiled predicate;
 // equivalent to Query.IsCandidate but without string lookups.
 func (c *NodeCheck) Candidate(g *graph.Graph, v graph.NodeID) bool {
