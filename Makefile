@@ -33,8 +33,12 @@ test:
 	$(GO) test ./...
 	$(GO) -C _perfbench test .
 
+# Workers=0 resolves to GOMAXPROCS, so -cpu runs the chase's parallel
+# paths at pool sizes beyond the machine's core count and checks byte
+# identity with the sequential run at each.
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -cpu 1,2,4 -run 'Parallel|GenRefine' ./internal/chase
 
 # Repo-specific static analysis (see internal/lint and README
 # "Static analysis & CI"). Exits non-zero on any finding.

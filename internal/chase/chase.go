@@ -15,7 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -515,6 +515,6 @@ func (w *Why) stop(deadline time.Time) bool {
 
 // sortNodes sorts a node slice in place and returns it.
 func sortNodes(v []graph.NodeID) []graph.NodeID {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
+	slices.Sort(v)
 	return v
 }

@@ -80,29 +80,171 @@ func newPartnerMap(w *Why, q *query.Query) *partnerMap {
 	return pm
 }
 
-// partners returns the candidate partners of focus match v at pattern
-// node u: the first maxPartnersScored candidates in BFS order, sorted.
-// Results are memoized on the Why across chase states: they depend
-// only on v, u's matching signature, and the radius.
-func (pm *partnerMap) partners(v graph.NodeID, u query.NodeID) []graph.NodeID {
-	if u == pm.q.Focus {
-		return []graph.NodeID{v}
+// partnerReq asks for the partner set of focus match v at pattern
+// node u.
+type partnerReq struct {
+	v graph.NodeID
+	u query.NodeID
+}
+
+// appendReqs appends a request for every match of vs at u, in vs's
+// order.
+func appendReqs(reqs []partnerReq, vs []graph.NodeID, u query.NodeID) []partnerReq {
+	for _, v := range vs {
+		reqs = append(reqs, partnerReq{v: v, u: u})
 	}
-	key := partnerCacheKey{v: v, pd: pm.pd[u], sig: pm.sig[u]}
-	if p, ok := pm.w.partnerCache[key]; ok {
-		pm.w.Stats.PartnerHits++
-		return p
+	return reqs
+}
+
+// partnerSets returns the candidate partners of each request, in
+// request order: the first maxPartnersScored candidates of u in BFS
+// order from v, sorted (at the focus, v itself). Sets are memoized on
+// the Why across chase states: they depend only on v, u's matching
+// signature, and the radius. Stats count a hit or a BFS run per
+// request exactly as one lookup per request, in order, would. The
+// missing sets are computed on the worker pool and inserted into the
+// memo here, on the algorithm goroutine, in first-request order.
+func (pm *partnerMap) partnerSets(reqs []partnerReq) [][]graph.NodeID {
+	w := pm.w
+	out := make([][]graph.NodeID, len(reqs))
+	// missing lists the requests whose set needs a BFS, one per key.
+	var missing []partnerReq
+	var pending map[partnerCacheKey]bool
+	for i, r := range reqs {
+		if r.u == pm.q.Focus {
+			out[i] = []graph.NodeID{r.v}
+			continue
+		}
+		key := pm.key(r)
+		if p, ok := w.partnerCache[key]; ok {
+			w.Stats.PartnerHits++
+			out[i] = p
+			continue
+		}
+		if pending[key] {
+			w.Stats.PartnerHits++
+			continue
+		}
+		if pending == nil {
+			pending = map[partnerCacheKey]bool{}
+		}
+		pending[key] = true
+		missing = append(missing, r)
+		w.Stats.PartnerSets++
 	}
-	pm.w.Stats.PartnerSets++
+	if len(missing) == 0 {
+		return out
+	}
+	sets := make([][]graph.NodeID, len(missing))
+	g := w.G
+	w.fanOut(len(missing), func(i int) {
+		v, u := missing[i].v, missing[i].u
+		check := &pm.check[u]
+		if label, live := check.LabelID(); live {
+			sets[i] = sortNodes(g.BallFirst(v, pm.pd[u], graph.Both, maxPartnersScored, label,
+				func(p graph.NodeID) bool { return p != v && check.Candidate(g, p) }))
+		}
+	})
+	for i, r := range missing {
+		w.partnerCache[pm.key(r)] = sets[i]
+	}
+	for i, r := range reqs {
+		if out[i] == nil && r.u != pm.q.Focus {
+			out[i] = w.partnerCache[pm.key(r)]
+		}
+	}
+	return out
+}
+
+func (pm *partnerMap) key(r partnerReq) partnerCacheKey {
+	return partnerCacheKey{v: r.v, pd: pm.pd[r.u], sig: pm.sig[r.u]}
+}
+
+// minFanOut is the smallest batch GenRefine hands to the worker pool.
+// Its items (one partner BFS, one candidate's removal scan) take
+// microseconds, and waking a helper goroutine on an idle core can take
+// longer than a small batch: on a 2-vCPU VM, ask-large batches under
+// 16 items ran slower fanned out than inline, and larger ones faster.
+const minFanOut = 16
+
+// fanOut runs fn over [0, n) on the worker pool, or inline when the
+// batch is too small to pay for waking a helper.
+func (w *Why) fanOut(n int, fn func(i int)) {
+	workers := w.workers()
+	if n < minFanOut {
+		workers = 1
+	}
+	w.forEach(workers, n, fn)
+}
+
+// refineCand is a refinement operator awaiting its removal estimate:
+// keep reports whether a partner still satisfies the refined pattern
+// node op.U.
+type refineCand struct {
+	op   ops.Op
+	keep func(graph.NodeID) bool
+}
+
+// scoreRefine offers cands to add, in order, each with the IM and RM
+// matches it certainly removes: those none of whose partners at op.U
+// satisfy keep. Every candidate reads each match's partner set at its
+// node once. The sets of each node are looked up once (computed if
+// missing) and the later reads counted as memo hits, so Stats equal
+// one lookup per read. The per-candidate scans run on the worker pool
+// and read only the looked-up slices.
+func (w *Why) scoreRefine(pm *partnerMap, im, rm []graph.NodeID, cands []refineCand,
+	add func(ops.Op, int, []graph.NodeID, []graph.NodeID)) {
+
+	if len(cands) == 0 {
+		return
+	}
+	// The refined nodes in first-candidate order, with their candidate
+	// counts and the offset of their sets (IM then RM) in sets.
+	count := make([]int, len(pm.q.Nodes))
+	base := make([]int, len(pm.q.Nodes))
+	var reqs []partnerReq
+	for _, c := range cands {
+		u := c.op.U
+		if count[u] == 0 {
+			base[u] = len(reqs)
+			reqs = appendReqs(appendReqs(reqs, im, u), rm, u)
+		}
+		count[u]++
+	}
+	sets := pm.partnerSets(reqs)
+	for u, n := range count {
+		if n > 1 && query.NodeID(u) != pm.q.Focus {
+			w.Stats.PartnerHits += (n - 1) * (len(im) + len(rm))
+		}
+	}
+	type removal struct{ im, rm []graph.NodeID }
+	removed := make([]removal, len(cands))
+	w.fanOut(len(cands), func(i int) {
+		c := &cands[i]
+		b := base[c.op.U]
+		removed[i] = removal{
+			im: lostAll(im, sets[b:b+len(im)], c.keep),
+			rm: lostAll(rm, sets[b+len(im):b+len(im)+len(rm)], c.keep),
+		}
+	})
+	for i, c := range cands {
+		add(c.op, -1, removed[i].im, removed[i].rm)
+	}
+}
+
+// lostAll returns the matches of vs none of whose partner sets (sets[i]
+// for vs[i]) has a member satisfying keep, in vs's order.
+func lostAll(vs []graph.NodeID, sets [][]graph.NodeID, keep func(graph.NodeID) bool) []graph.NodeID {
 	var out []graph.NodeID
-	check := &pm.check[u]
-	if label, live := check.LabelID(); live {
-		g := pm.w.G
-		out = g.BallFirst(v, pm.pd[u], graph.Both, maxPartnersScored, label,
-			func(p graph.NodeID) bool { return p != v && check.Candidate(g, p) })
+next:
+	for i, v := range vs {
+		for _, p := range sets[i] {
+			if keep(p) {
+				continue next
+			}
+		}
+		out = append(out, v)
 	}
-	sortNodes(out)
-	pm.w.partnerCache[key] = out
 	return out
 }
 
@@ -147,32 +289,9 @@ func (w *Why) GenRefine(q *query.Query, res *match.Result, used map[string]bool,
 		acc[key] = a
 	}
 
-	// survives reports whether focus match v keeps at least one partner
-	// at u satisfying pred.
-	survives := func(v graph.NodeID, u query.NodeID, pred func(graph.NodeID) bool) bool {
-		for _, p := range pm.partners(v, u) {
-			if pred(p) {
-				return true
-			}
-		}
-		return false
-	}
-	removedBy := func(u query.NodeID, pred func(graph.NodeID) bool) (imOut, rmOut []graph.NodeID) {
-		for _, v := range im {
-			if !survives(v, u, pred) {
-				imOut = append(imOut, v)
-			}
-		}
-		for _, v := range rm {
-			if !survives(v, u, pred) {
-				rmOut = append(rmOut, v)
-			}
-		}
-		return
-	}
-
-	w.genAddL(q, rm, pm, used, add, removedBy)
-	w.genRfL(q, rm, pm, used, add, removedBy)
+	cands := w.genAddL(q, rm, pm, used)
+	cands = append(cands, w.genRfL(q, rm, pm, used)...)
+	w.scoreRefine(pm, im, rm, cands, add)
 	w.genRfE(q, rm, im, used, add)
 	w.genAddE(q, rm, im, used, add)
 
@@ -184,11 +303,22 @@ func (w *Why) GenRefine(q *query.Query, res *match.Result, used map[string]bool,
 // AddL(u, A = a) hoping irrelevant matches fail it. Values rank by how
 // many RM partners carry them, ties broken by the key "A=a#kind"; a
 // key's literal carries the value seen last under it.
-func (w *Why) genAddL(q *query.Query, rm []graph.NodeID, pm *partnerMap,
-	used map[string]bool,
-	add func(ops.Op, int, []graph.NodeID, []graph.NodeID),
-	removedBy func(query.NodeID, func(graph.NodeID) bool) ([]graph.NodeID, []graph.NodeID)) {
+func (w *Why) genAddL(q *query.Query, rm []graph.NodeID, pm *partnerMap, used map[string]bool) []refineCand {
+	var reqs []partnerReq
+	for ui := range q.Nodes {
+		reqs = appendReqs(reqs, rm, query.NodeID(ui))
+	}
+	sets := pm.partnerSets(reqs)
+	var out []refineCand
+	for ui := range q.Nodes {
+		out = append(out, w.addLCands(q, query.NodeID(ui), sets[ui*len(rm):(ui+1)*len(rm)], used)...)
+	}
+	return out
+}
 
+// addLCands ranks the values the RM partner sets rmSets carry at u and
+// returns genAddL's candidates for u.
+func (w *Why) addLCands(q *query.Query, u query.NodeID, rmSets [][]graph.NodeID, used map[string]bool) []refineCand {
 	const maxValuesPerAttr = 6
 	// exactVal identifies an attribute value bit for bit: float keys
 	// would merge -0 with +0 and never find a NaN again.
@@ -210,77 +340,119 @@ func (w *Why) genAddL(q *query.Query, rm []graph.NodeID, pm *partnerMap,
 		valueCount
 	}
 	numAttrs := w.G.Attrs.Len()
-	for ui := range q.Nodes {
-		u := query.NodeID(ui)
-		// Count exact attribute values over RM partners at u. skip
-		// holds, per attribute id, 0 (undecided), 1 (counted) or 2
-		// (already constrained in F_Q(u) or a used target).
-		skip := make([]int8, numAttrs)
-		index := map[exactVal]int{}
-		var counts []valueCount
-		seen := 0
-		for _, vrm := range rm {
-			for _, p := range pm.partners(vrm, u) {
-				for _, t := range w.G.Tuple(p) {
-					if skip[t.Attr] == 0 {
-						attr := w.G.Attrs.Name(t.Attr)
-						skip[t.Attr] = 1
-						if q.FindLiteral(u, attr, graph.EQ) >= 0 || used[litTarget(u, attr)] {
-							skip[t.Attr] = 2
-						}
-					}
-					if skip[t.Attr] == 2 {
-						continue
-					}
-					k := exactVal{aid: t.Attr, kind: t.Val.Kind, bits: math.Float64bits(t.Val.Num), str: t.Val.Str}
-					i, ok := index[k]
-					if !ok {
-						i = len(counts)
-						index[k] = i
-						counts = append(counts, valueCount{aid: t.Attr, val: t.Val})
-					}
-					seen++
-					counts[i].count++
-					counts[i].last = seen
-				}
+	// Count exact attribute values over RM partners at u. skip holds,
+	// per attribute id, 0 (undecided), 1 (counted) or 2 (already
+	// constrained in F_Q(u) or a used target).
+	skip := make([]int8, numAttrs)
+	counted := func(aid int32) bool {
+		if skip[aid] == 0 {
+			attr := w.G.Attrs.Name(aid)
+			skip[aid] = 1
+			if q.FindLiteral(u, attr, graph.EQ) >= 0 || used[litTarget(u, attr)] {
+				skip[aid] = 2
 			}
 		}
-		// Merge exact values into ranking keys, rendered once each.
-		classOf := map[string]int{}
-		var classes []valueClass
-		for _, c := range counts {
-			key := w.G.Attrs.Name(c.aid) + "=" + c.val.String() + kindOf(c.val)
-			i, ok := classOf[key]
+		return skip[aid] == 1
+	}
+	// The RM partner sets overlap, so the scan visits each distinct
+	// partner once. A value's count sums the multiplicities of the
+	// partners carrying it; its position in the full scan (counted
+	// entries only) is the start of its partner's last occurrence plus
+	// its rank among the partner's counted entries.
+	type partner struct {
+		v                     graph.NodeID
+		width, mult, lastFrom int
+	}
+	var parts []partner
+	partIndex := map[graph.NodeID]int{}
+	scanned := 0
+	for _, ps := range rmSets {
+		for _, p := range ps {
+			i, ok := partIndex[p]
 			if !ok {
-				i = len(classes)
-				classOf[key] = i
-				classes = append(classes, valueClass{key: key})
+				i = len(parts)
+				partIndex[p] = i
+				width := 0
+				for _, t := range w.G.Tuple(p) {
+					if counted(t.Attr) {
+						width++
+					}
+				}
+				parts = append(parts, partner{v: p, width: width})
 			}
-			cl := &classes[i]
-			cl.count += c.count
-			if c.last > cl.last {
-				cl.aid, cl.val, cl.last = c.aid, c.val, c.last
-			}
+			parts[i].mult++
+			parts[i].lastFrom = scanned
+			scanned += parts[i].width
 		}
-		sort.Slice(classes, func(i, j int) bool {
-			if classes[i].count != classes[j].count {
-				return classes[i].count > classes[j].count
-			}
-			return classes[i].key < classes[j].key
-		})
-		perAttr := make([]int, numAttrs)
-		for _, c := range classes {
-			if perAttr[c.aid] >= maxValuesPerAttr {
+	}
+	index := map[exactVal]int{}
+	var counts []valueCount
+	for _, pt := range parts {
+		rank := 0
+		for _, t := range w.G.Tuple(pt.v) {
+			if skip[t.Attr] != 1 {
 				continue
 			}
-			perAttr[c.aid]++
-			lit := query.Literal{Attr: w.G.Attrs.Name(c.aid), Op: graph.EQ, Val: c.val}
-			imOut, rmOut := removedBy(u, func(p graph.NodeID) bool {
-				val, ok := w.G.AttrByID(p, c.aid)
-				return ok && lit.Op.Holds(val, lit.Val)
-			})
-			add(ops.Op{Kind: ops.AddL, U: u, Lit: lit}, -1, imOut, rmOut)
+			rank++
+			k := exactVal{aid: t.Attr, kind: t.Val.Kind, bits: math.Float64bits(t.Val.Num), str: t.Val.Str}
+			i, ok := index[k]
+			if !ok {
+				i = len(counts)
+				index[k] = i
+				counts = append(counts, valueCount{aid: t.Attr, val: t.Val})
+			}
+			c := &counts[i]
+			c.count += pt.mult
+			if last := pt.lastFrom + rank; last > c.last {
+				c.last = last
+			}
 		}
+	}
+	// Merge exact values into ranking keys, rendered once each.
+	classOf := map[string]int{}
+	var classes []valueClass
+	for _, c := range counts {
+		key := w.G.Attrs.Name(c.aid) + "=" + c.val.String() + kindOf(c.val)
+		i, ok := classOf[key]
+		if !ok {
+			i = len(classes)
+			classOf[key] = i
+			classes = append(classes, valueClass{key: key})
+		}
+		cl := &classes[i]
+		cl.count += c.count
+		if c.last > cl.last {
+			cl.aid, cl.val, cl.last = c.aid, c.val, c.last
+		}
+	}
+	sort.Slice(classes, func(i, j int) bool {
+		if classes[i].count != classes[j].count {
+			return classes[i].count > classes[j].count
+		}
+		return classes[i].key < classes[j].key
+	})
+	perAttr := make([]int, numAttrs)
+	var cands []refineCand
+	for _, c := range classes {
+		if perAttr[c.aid] >= maxValuesPerAttr {
+			continue
+		}
+		perAttr[c.aid]++
+		lit := query.Literal{Attr: w.G.Attrs.Name(c.aid), Op: graph.EQ, Val: c.val}
+		cands = append(cands, refineCand{
+			op:   ops.Op{Kind: ops.AddL, U: u, Lit: lit},
+			keep: w.litCheck(c.aid, lit),
+		})
+	}
+	return cands
+}
+
+// litCheck returns lit's predicate on nodes, with lit's attribute
+// already resolved to aid.
+func (w *Why) litCheck(aid int32, lit query.Literal) func(graph.NodeID) bool {
+	return func(p graph.NodeID) bool {
+		val, ok := w.G.AttrByID(p, aid)
+		return ok && lit.Op.Holds(val, lit.Val)
 	}
 }
 
@@ -294,58 +466,76 @@ func kindOf(v graph.Value) string {
 // genRfL: tighten existing numeric literals toward the RM-supporting
 // values (Appendix B rules, using ≤/≥ so the nearest relevant value
 // keeps matching).
-func (w *Why) genRfL(q *query.Query, rm []graph.NodeID, pm *partnerMap,
-	used map[string]bool,
-	add func(ops.Op, int, []graph.NodeID, []graph.NodeID),
-	removedBy func(query.NodeID, func(graph.NodeID) bool) ([]graph.NodeID, []graph.NodeID)) {
-
+func (w *Why) genRfL(q *query.Query, rm []graph.NodeID, pm *partnerMap, used map[string]bool) []refineCand {
 	const maxValues = 6
+	// Each tightened literal ranks RM-supporting values over the RM
+	// partner sets of its node.
+	type target struct {
+		u query.NodeID
+		l query.Literal
+	}
+	var targets []target
+	var reqs []partnerReq
 	for ui := range q.Nodes {
 		u := query.NodeID(ui)
 		for _, l := range q.Nodes[u].Literals {
 			if l.Val.Kind != graph.Number || used[litTarget(u, l.Attr)] {
 				continue
 			}
-			// RM-supporting values of this attribute at u.
-			var vals []float64
-			seen := map[float64]bool{}
-			for _, vrm := range rm {
-				for _, p := range pm.partners(vrm, u) {
-					if val, ok := w.G.Attr(p, l.Attr); ok && val.Kind == graph.Number {
-						if !seen[val.Num] {
-							seen[val.Num] = true
-							vals = append(vals, val.Num)
-						}
-					}
-				}
-			}
-			sort.Float64s(vals)
-			gen := func(newLit query.Literal) {
-				imOut, rmOut := removedBy(u, func(p graph.NodeID) bool { return newLit.Sat(w.G, p) })
-				add(ops.Op{Kind: ops.RfL, U: u, Lit: l, NewLit: newLit}, -1, imOut, rmOut)
-			}
-			switch l.Op {
-			case graph.LE, graph.LT:
-				// Tighten the upper bound down toward RM values, largest
-				// first (loses no RM support), then a few tighter steps.
-				count := 0
-				for i := len(vals) - 1; i >= 0 && count < maxValues; i-- {
-					if a := vals[i]; a < l.Val.Num {
-						gen(query.Literal{Attr: l.Attr, Op: graph.LE, Val: graph.N(a)})
-						count++
-					}
-				}
-			case graph.GE, graph.GT:
-				count := 0
-				for i := 0; i < len(vals) && count < maxValues; i++ {
-					if a := vals[i]; a > l.Val.Num {
-						gen(query.Literal{Attr: l.Attr, Op: graph.GE, Val: graph.N(a)})
-						count++
+			targets = append(targets, target{u: u, l: l})
+			reqs = appendReqs(reqs, rm, u)
+		}
+	}
+	sets := pm.partnerSets(reqs)
+	var cands []refineCand
+	for ti, t := range targets {
+		u, l := t.u, t.l
+		aid, ok := w.G.Attrs.Lookup(l.Attr)
+		if !ok {
+			continue // no node carries the attribute: nothing to tighten toward
+		}
+		// RM-supporting values of this attribute at u.
+		var vals []float64
+		seen := map[float64]bool{}
+		for _, ps := range sets[ti*len(rm) : (ti+1)*len(rm)] {
+			for _, p := range ps {
+				if val, ok := w.G.AttrByID(p, aid); ok && val.Kind == graph.Number {
+					if !seen[val.Num] {
+						seen[val.Num] = true
+						vals = append(vals, val.Num)
 					}
 				}
 			}
 		}
+		sort.Float64s(vals)
+		gen := func(newLit query.Literal) {
+			cands = append(cands, refineCand{
+				op:   ops.Op{Kind: ops.RfL, U: u, Lit: l, NewLit: newLit},
+				keep: w.litCheck(aid, newLit),
+			})
+		}
+		switch l.Op {
+		case graph.LE, graph.LT:
+			// Tighten the upper bound down toward RM values, largest
+			// first (loses no RM support), then a few tighter steps.
+			count := 0
+			for i := len(vals) - 1; i >= 0 && count < maxValues; i-- {
+				if a := vals[i]; a < l.Val.Num {
+					gen(query.Literal{Attr: l.Attr, Op: graph.LE, Val: graph.N(a)})
+					count++
+				}
+			}
+		case graph.GE, graph.GT:
+			count := 0
+			for i := 0; i < len(vals) && count < maxValues; i++ {
+				if a := vals[i]; a > l.Val.Num {
+					gen(query.Literal{Attr: l.Attr, Op: graph.GE, Val: graph.N(a)})
+					count++
+				}
+			}
+		}
 	}
+	return cands
 }
 
 // genRfE: tighten edge bounds by one (Appendix B: RfE(e, b, b−1)).
@@ -375,17 +565,17 @@ func (w *Why) genRfE(q *query.Query, rm, im []graph.NodeID,
 			add(o, ei, im, nil)
 			continue
 		}
+		dir := graph.Forward
+		if !out {
+			dir = graph.Backward
+		}
+		check := q.Check(w.G, other)
+		label, live := check.LabelID()
+		// certainlyCut reports that no candidate of the other endpoint
+		// lies within the tightened bound: the search stops at the first.
 		certainlyCut := func(v graph.NodeID) bool {
-			dir := graph.Forward
-			if !out {
-				dir = graph.Backward
-			}
-			for _, nd := range w.G.Ball(v, e.Bound-1, dir) {
-				if nd.D > 0 && q.IsCandidate(w.G, other, nd.V) {
-					return false
-				}
-			}
-			return true
+			return !live || w.G.BallFirst(v, e.Bound-1, dir, 1, label,
+				func(p graph.NodeID) bool { return p != v && check.Candidate(w.G, p) }) == nil
 		}
 		var imOut, rmOut []graph.NodeID
 		for _, v := range im {

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -44,8 +45,8 @@ func refAddLOrder(w *Why, q *query.Query, rm []graph.NodeID, pm *partnerMap, use
 		}
 		counts := map[string]int{}
 		reprs := map[string]av{}
-		for _, vrm := range rm {
-			for _, p := range pm.partners(vrm, u) {
+		for _, ps := range pm.partnerSets(appendReqs(nil, rm, u)) {
+			for _, p := range ps {
 				for _, t := range w.G.Tuple(p) {
 					attr := w.G.Attrs.Name(t.Attr)
 					if q.FindLiteral(u, attr, graph.EQ) >= 0 || used[litTarget(u, attr)] {
@@ -85,8 +86,9 @@ func refAddLOrder(w *Why, q *query.Query, rm []graph.NodeID, pm *partnerMap, use
 // -0 and +0 (distinct keys "-0" and "0"), NaNs with different payloads
 // (one key "NaN", so the literal must carry the payload seen last), a
 // string "0" beside the number 0, and attribute names containing "="
-// whose keys collide across attributes. It also checks each literal's
-// id-based predicate against Literal.Sat on every node.
+// whose keys collide across attributes, also within one tuple. It also
+// checks each literal's id-based predicate against Literal.Sat on every
+// node.
 func TestGenAddLRanking(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	nan1 := math.Float64frombits(0x7ff8000000000001)
@@ -107,6 +109,8 @@ func TestGenAddLRanking(t *testing.T) {
 		{"w": graph.N(nan1), "lock": graph.N(5)},
 		{"w": graph.N(negZero), "a=b": graph.S("c"), "lock": graph.N(5)},
 		{"w": graph.N(2), "lock": graph.N(5)},
+		// Colliding keys within one tuple: the later entry is seen last.
+		{"x": graph.S("y=z"), "x=y": graph.S("z"), "lock": graph.N(5)},
 	}
 	var partners []graph.NodeID
 	for _, attrs := range partnerAttrs {
@@ -136,14 +140,12 @@ func TestGenAddLRanking(t *testing.T) {
 	pm := newPartnerMap(w, q)
 
 	var got []ops.Op
-	add := func(o ops.Op, _ int, _, _ []graph.NodeID) { got = append(got, o) }
-	// preds[i] is the predicate genAddL scored got[i] with.
+	// preds[i] is the predicate genAddL scores got[i] with.
 	var preds []func(graph.NodeID) bool
-	removedBy := func(_ query.NodeID, pred func(graph.NodeID) bool) ([]graph.NodeID, []graph.NodeID) {
-		preds = append(preds, pred)
-		return nil, nil
+	for _, c := range w.genAddL(q, focus, pm, used) {
+		got = append(got, c.op)
+		preds = append(preds, c.keep)
 	}
-	w.genAddL(q, focus, pm, used, add, removedBy)
 
 	want := refAddLOrder(w, q, focus, pm, used)
 	if len(got) != len(want) {
@@ -174,5 +176,256 @@ func TestGenAddLRanking(t *testing.T) {
 	}
 	if !sawNaN || !sawNegZero {
 		t.Errorf("fixture lost its edge values: NaN %v, -0 %v in %v", sawNaN, sawNegZero, got)
+	}
+}
+
+// refRfECut is genRfE's removal certainty as a plain scan: v is cut
+// unless the ball of radius bound-1 around it, in dir, holds a
+// candidate of pattern node other besides v itself.
+func refRfECut(g *graph.Graph, q *query.Query, other query.NodeID, v graph.NodeID, bound int, dir graph.Direction) bool {
+	for _, nd := range g.Ball(v, bound-1, dir) {
+		if nd.D > 0 && q.IsCandidate(g, other, nd.V) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGenRfEMatchesBallScan checks genRfE's early-exit search against
+// the plain ball scan on a random graph, for focus-incident edges in
+// both directions and bounds 2–4, with the other endpoint carrying the
+// focus's label (so v itself is a candidate and must not count), a
+// literal, the wildcard label, or a label absent from the graph.
+func TestGenRfEMatchesBallScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := graph.New()
+	const n = 80
+	for i := 0; i < n; i++ {
+		g.AddNode([]string{"A", "B"}[rng.Intn(2)], map[string]graph.Value{"x": graph.N(float64(rng.Intn(5)))})
+	}
+	for i := 0; i < 100; i++ {
+		if a, b := rng.Intn(n), rng.Intn(n); a != b {
+			g.AddEdge(graph.NodeID(a), graph.NodeID(b), "e")
+		}
+	}
+	focus := g.NodesByLabel("A")
+	im, rm := focus[:len(focus)/2], focus[len(focus)/2:]
+	others := []query.Node{
+		{Label: "A"},
+		{Label: "B", Literals: []query.Literal{{Attr: "x", Op: graph.LE, Val: graph.N(1)}}},
+		{Label: "A", Literals: []query.Literal{{Attr: "x", Op: graph.GE, Val: graph.N(3)}}},
+		{Label: ""},
+		{Label: "Z"},
+	}
+	w := &Why{G: g}
+	cut, kept := 0, 0
+	for _, other := range others {
+		for bound := 2; bound <= 4; bound++ {
+			for _, out := range []bool{true, false} {
+				e := query.Edge{From: 0, To: 1, Bound: bound}
+				dir := graph.Forward
+				if !out {
+					e.From, e.To, dir = 1, 0, graph.Backward
+				}
+				q := &query.Query{Nodes: []query.Node{{Label: "A"}, other}, Edges: []query.Edge{e}, Focus: 0}
+				var gotIM, gotRM []graph.NodeID
+				calls := 0
+				w.genRfE(q, rm, im, map[string]bool{}, func(_ ops.Op, _ int, imOut, rmOut []graph.NodeID) {
+					gotIM, gotRM = imOut, rmOut
+					calls++
+				})
+				if calls != 1 {
+					t.Fatalf("%v: genRfE offered %d operators, want 1", q, calls)
+				}
+				check := func(vs, got []graph.NodeID) {
+					var want []graph.NodeID
+					for _, v := range vs {
+						if refRfECut(g, q, 1, v, bound, dir) {
+							want = append(want, v)
+						}
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%v: cut %v, want %v", q, got, want)
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%v: cut %v, want %v", q, got, want)
+						}
+					}
+					cut += len(want)
+					kept += len(vs) - len(want)
+				}
+				check(im, gotIM)
+				check(rm, gotRM)
+			}
+		}
+	}
+	if cut == 0 || kept == 0 {
+		t.Errorf("fixture decides only one way: %d cut, %d kept", cut, kept)
+	}
+}
+
+// refRfLOps is genRfL's candidate list with the literal's attribute
+// looked up by name on every partner.
+func refRfLOps(w *Why, q *query.Query, rm []graph.NodeID, pm *partnerMap, used map[string]bool) []ops.Op {
+	var out []ops.Op
+	for ui := range q.Nodes {
+		u := query.NodeID(ui)
+		for _, l := range q.Nodes[u].Literals {
+			if l.Val.Kind != graph.Number || used[litTarget(u, l.Attr)] {
+				continue
+			}
+			var vals []float64
+			seen := map[float64]bool{}
+			for _, ps := range pm.partnerSets(appendReqs(nil, rm, u)) {
+				for _, p := range ps {
+					if val, ok := w.G.Attr(p, l.Attr); ok && val.Kind == graph.Number && !seen[val.Num] {
+						seen[val.Num] = true
+						vals = append(vals, val.Num)
+					}
+				}
+			}
+			sort.Float64s(vals)
+			gen := func(op graph.Op, a float64) {
+				out = append(out, ops.Op{Kind: ops.RfL, U: u, Lit: l,
+					NewLit: query.Literal{Attr: l.Attr, Op: op, Val: graph.N(a)}})
+			}
+			count := 0
+			switch l.Op {
+			case graph.LE, graph.LT:
+				for i := len(vals) - 1; i >= 0 && count < 6; i-- {
+					if vals[i] < l.Val.Num {
+						gen(graph.LE, vals[i])
+						count++
+					}
+				}
+			case graph.GE, graph.GT:
+				for i := 0; i < len(vals) && count < 6; i++ {
+					if vals[i] > l.Val.Num {
+						gen(graph.GE, vals[i])
+						count++
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestGenRfLMatchesNameLookup checks genRfL's id-based value
+// collection against looking the attribute up by name: upper and lower
+// bounds, a string value under a numeric literal's attribute, a string
+// literal, a used target, and an attribute no node carries. It also
+// checks each candidate's predicate against Literal.Sat on every node.
+func TestGenRfLMatchesNameLookup(t *testing.T) {
+	g := graph.New()
+	var focus []graph.NodeID
+	for _, k := range []graph.Value{graph.N(1), graph.N(4), graph.S("7"), graph.N(9), graph.N(4)} {
+		focus = append(focus, g.AddNode("F", map[string]graph.Value{"k": k, "z": graph.S("s")}))
+	}
+	var partners []graph.NodeID
+	for i, p := range []float64{10, 20, 20, 35, 50, 70, 90, 95, 99} {
+		partners = append(partners, g.AddNode("P", map[string]graph.Value{
+			"p": graph.N(p), "q": graph.N(float64(i % 4)), "r": graph.N(float64(2 * i)),
+		}))
+	}
+	for i, f := range focus {
+		for j, p := range partners {
+			if (i+j)%3 != 0 {
+				g.AddEdge(f, p, "e")
+			}
+		}
+	}
+	q := &query.Query{
+		Nodes: []query.Node{
+			{Label: "F", Literals: []query.Literal{
+				{Attr: "k", Op: graph.LE, Val: graph.N(9)},
+				{Attr: "absent", Op: graph.LE, Val: graph.N(5)},
+				{Attr: "z", Op: graph.EQ, Val: graph.S("s")},
+			}},
+			{Label: "P", Literals: []query.Literal{
+				{Attr: "p", Op: graph.LT, Val: graph.N(100)},
+				{Attr: "q", Op: graph.GE, Val: graph.N(0)},
+				{Attr: "r", Op: graph.GT, Val: graph.N(0)},
+			}},
+		},
+		Edges: []query.Edge{{From: 0, To: 1, Bound: 1}},
+		Focus: 0,
+	}
+	e := &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{{"k": exemplar.C(graph.N(1))}}}
+	w, err := NewWhy(g, q, e, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{litTarget(1, "q"): true}
+	pm := newPartnerMap(w, q)
+	got := w.genRfL(q, focus, pm, used)
+	want := refRfLOps(w, q, focus, pm, used)
+	if len(got) != len(want) {
+		t.Fatalf("genRfL proposed %d literals, reference %d", len(got), len(want))
+	}
+	sawLE, sawGE := false, false
+	for i, c := range got {
+		if c.op.U != want[i].U || c.op.Lit != want[i].Lit || c.op.NewLit != want[i].NewLit {
+			t.Fatalf("candidate %d: got %v, want %v", i, c.op, want[i])
+		}
+		sawLE = sawLE || c.op.NewLit.Op == graph.LE
+		sawGE = sawGE || c.op.NewLit.Op == graph.GE
+		for v := 0; v < g.NumNodes(); v++ {
+			if c.keep(graph.NodeID(v)) != c.op.NewLit.Sat(g, graph.NodeID(v)) {
+				t.Fatalf("candidate %d (%v): predicate disagrees with Sat on node %d", i, c.op, v)
+			}
+		}
+	}
+	if !sawLE || !sawGE {
+		t.Errorf("fixture lost a direction: LE %v, GE %v in %d candidates", sawLE, sawGE, len(got))
+	}
+}
+
+// TestPartnerSetsSharedKeys checks the memo counters when two pattern
+// nodes share a partner-set key (same label, literals and radius): one
+// batch computes each set once, counts the repeat request as a memo
+// hit and answers both nodes with the same set; the focus's trivial
+// sets count as neither.
+func TestPartnerSetsSharedKeys(t *testing.T) {
+	g := graph.New()
+	var focus []graph.NodeID
+	for i := 0; i < 3; i++ {
+		focus = append(focus, g.AddNode("F", map[string]graph.Value{"k": graph.N(float64(i))}))
+	}
+	for i := 0; i < 4; i++ {
+		p := g.AddNode("P", nil)
+		for _, f := range focus[:i%3+1] {
+			g.AddEdge(f, p, "e")
+		}
+	}
+	q := &query.Query{
+		Nodes: []query.Node{{Label: "F"}, {Label: "P"}, {Label: "P"}},
+		Edges: []query.Edge{{From: 0, To: 1, Bound: 1}, {From: 0, To: 2, Bound: 1}},
+		Focus: 0,
+	}
+	e := &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{{"k": exemplar.C(graph.N(1))}}}
+	w, err := NewWhy(g, q, e, Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := newPartnerMap(w, q)
+	reqs := appendReqs(appendReqs(appendReqs(nil, focus, 1), focus, 2), focus, 0)
+	sets := pm.partnerSets(reqs)
+	if w.Stats.PartnerSets != 3 || w.Stats.PartnerHits != 3 {
+		t.Errorf("first batch: %d sets, %d hits; want 3, 3", w.Stats.PartnerSets, w.Stats.PartnerHits)
+	}
+	for i, v := range focus {
+		a, b := sets[i], sets[len(focus)+i]
+		if len(a) == 0 || len(a) != len(b) || &a[0] != &b[0] {
+			t.Errorf("focus %d: nodes 1 and 2 got sets %v and %v, want one shared non-empty set", v, a, b)
+		}
+		if f := sets[2*len(focus)+i]; len(f) != 1 || f[0] != v {
+			t.Errorf("focus %d: its own partner set is %v", v, f)
+		}
+	}
+	pm.partnerSets(reqs)
+	if w.Stats.PartnerSets != 3 || w.Stats.PartnerHits != 9 {
+		t.Errorf("second batch: %d sets, %d hits in total; want 3, 9", w.Stats.PartnerSets, w.Stats.PartnerHits)
 	}
 }

@@ -1,12 +1,15 @@
 package chase_test
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"wqe/internal/chase"
 	"wqe/internal/datagen"
+	"wqe/internal/query"
 )
 
 // parAlgos are the algorithms with parallel evaluation paths, each
@@ -95,6 +98,58 @@ func TestParallelMatchesSequentialSynthetic(t *testing.T) {
 	seq := run(1)
 	if par := run(4); par != seq {
 		t.Fatalf("parallel output diverged from sequential:\n--- workers=1\n%s--- workers=4\n%s", seq, par)
+	}
+}
+
+// TestGenRefineParallelMatchesSequential pins GenRefine's parallel
+// partner-set BFS and removal scoring to the sequential run on the
+// synthetic instances above. Pools are taken at the original query and
+// at the rewrites AnsHeu(3) and AnsW return: for every worker count
+// each pool holds the same operators in the same order, with
+// bit-identical pickiness and cost, the same gain sets and the same
+// inducing edge. The partner-memo counters must not depend on the pool
+// size either, after each pool and after the full runs.
+func TestGenRefineParallelMatchesSequential(t *testing.T) {
+	g, instances := genInstances(t, datagen.DatasetProducts, 1500, 3, 9)
+	ops := 0
+	run := func(workers int) string {
+		var b strings.Builder
+		for i, inst := range instances {
+			cfg := chase.DefaultConfig()
+			cfg.MaxSteps = 800
+			cfg.Workers = workers
+			w, err := chase.NewWhy(g, inst.Q, inst.E, cfg)
+			if err != nil {
+				t.Fatalf("NewWhy: %v", err)
+			}
+			pool := func(name string, q *query.Query) {
+				p := w.GenRefine(q, w.Matcher.Match(q), map[string]bool{}, cfg.Budget)
+				ops += len(p)
+				fmt.Fprintf(&b, "instance %d, %s pool: %d ops, partner sets %d, memo hits %d\n",
+					i, name, len(p), w.Stats.PartnerSets, w.Stats.PartnerHits)
+				for _, s := range p {
+					fmt.Fprintf(&b, "  %v pick=%#x cost=%#x gain=%v edge=%d\n",
+						s.Op, math.Float64bits(s.Pick), math.Float64bits(s.Cost), s.Gain, s.PickyEdge)
+				}
+			}
+			pool("root", w.Q)
+			heu := w.AnsHeu(3)
+			fmt.Fprintf(&b, "AnsHeu: partner sets %d, memo hits %d\n", w.Stats.PartnerSets, w.Stats.PartnerHits)
+			answ := w.AnsW()
+			fmt.Fprintf(&b, "AnsW: partner sets %d, memo hits %d\n", w.Stats.PartnerSets, w.Stats.PartnerHits)
+			pool("AnsHeu", heu.Query)
+			pool("AnsW", answ.Query)
+		}
+		return b.String()
+	}
+	seq := run(1)
+	if ops < 20 {
+		t.Fatalf("only %d refinement operators generated: the fixture exercises too little", ops)
+	}
+	for _, workers := range []int{2, 4} {
+		if got := run(workers); got != seq {
+			t.Errorf("workers=%d diverged from sequential:\n--- workers=1\n%s--- workers=%d\n%s", workers, seq, workers, got)
+		}
 	}
 }
 

@@ -316,16 +316,6 @@ func kindTag(v graph.Value) string {
 // extreme covering the self-partnering case, so each pass is linear —
 // the naive pairwise check would make Lemma 2.2's quadratic bound
 // tight on large groups.
-// enforceInequality handles x op y with op ∈ {<, ≤, >, ≥}: every node
-// of the left group needs a partner in the right group satisfying
-// v.A op v'.A', and symmetrically. One pass of removals; the caller
-// iterates to the fixpoint.
-//
-// Existence of a partner only depends on the other group's extreme
-// value (its minimum for >/≥, maximum for </≤), with the runner-up
-// covering the self-partnering case, so each pass is linear — the
-// naive pairwise check would make Lemma 2.2's quadratic bound tight on
-// large groups.
 func (ev *Eval) enforceInequality(active map[graph.NodeID]bool, op graph.Op, lb, rb binding) bool {
 	type member struct {
 		v   graph.NodeID

@@ -381,9 +381,25 @@ func (g *Graph) Attr(v NodeID, name string) (Value, bool) {
 	return g.AttrByID(v, aid)
 }
 
+// shortTuple is the tuple length up to which AttrByID scans linearly:
+// on short tuples an in-order scan that stops at the first id ≥ aid
+// beats sort.Search's indirect calls.
+const shortTuple = 16
+
 // AttrByID returns the value of the interned attribute aid on node v.
 func (g *Graph) AttrByID(v NodeID, aid int32) (Value, bool) {
 	tuple := g.Tuple(v)
+	if len(tuple) <= shortTuple {
+		for i := range tuple {
+			if a := tuple[i].Attr; a >= aid {
+				if a == aid {
+					return tuple[i].Val, true
+				}
+				break
+			}
+		}
+		return Value{}, false
+	}
 	i := sort.Search(len(tuple), func(i int) bool { return tuple[i].Attr >= aid })
 	if i < len(tuple) && tuple[i].Attr == aid {
 		return tuple[i].Val, true

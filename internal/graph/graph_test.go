@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -118,6 +120,51 @@ func TestTupleSortedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAttrByIDMatchesBinarySearch checks AttrByID (a linear scan on
+// short tuples, sort.Search on long ones) against a plain binary search
+// on tuples of every length 0–40 across the cutover, probing every id
+// from below the smallest present one to above the largest, absent
+// ids in between included.
+func TestAttrByIDMatchesBinarySearch(t *testing.T) {
+	const numIDs = 60
+	rng := rand.New(rand.NewSource(7))
+	g := New()
+	for i := 0; i < numIDs; i++ {
+		g.Attrs.Intern(fmt.Sprintf("a%02d", i))
+	}
+	for n := 0; n <= 40; n++ {
+		for rep := 0; rep < 4; rep++ {
+			// Draw n distinct ids from [5, numIDs-5) so ids below, above and
+			// between the present ones stay absent.
+			perm := rng.Perm(numIDs - 10)
+			tuple := make([]AttrValue, n)
+			for i := range tuple {
+				aid := int32(perm[i] + 5)
+				tuple[i] = AttrValue{Attr: aid, Val: N(float64(rng.Intn(1000)))}
+			}
+			g.AddNodeTuple("N", tuple)
+		}
+	}
+	want := func(v NodeID, aid int32) (Value, bool) {
+		tuple := g.Tuple(v)
+		i := sort.Search(len(tuple), func(i int) bool { return tuple[i].Attr >= aid })
+		if i < len(tuple) && tuple[i].Attr == aid {
+			return tuple[i].Val, true
+		}
+		return Value{}, false
+	}
+	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+		for aid := int32(-1); aid <= numIDs+1; aid++ {
+			gotV, gotOK := g.AttrByID(v, aid)
+			wantV, wantOK := want(v, aid)
+			if gotOK != wantOK || gotV != wantV {
+				t.Fatalf("node %d (tuple length %d), attr %d: got (%v, %v), want (%v, %v)",
+					v, len(g.Tuple(v)), aid, gotV, gotOK, wantV, wantOK)
+			}
+		}
 	}
 }
 
