@@ -35,10 +35,12 @@ test:
 
 # Workers=0 resolves to GOMAXPROCS, so -cpu runs the chase's parallel
 # paths at pool sizes beyond the machine's core count and checks byte
-# identity with the sequential run at each.
+# identity with the sequential run at each. The BallsFirst tests run
+# their seeds as parallel subtests over the pooled BFS scratch.
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -cpu 1,2,4 -run 'Parallel|GenRefine' ./internal/chase
+	$(GO) test -cpu 1,2,4 -run 'Parallel|GenRefine|PartnerSets' ./internal/chase
+	$(GO) test -cpu 1,2,4 -run BallsFirst ./internal/graph
 
 # Repo-specific static analysis (see internal/lint and README
 # "Static analysis & CI"). Exits non-zero on any finding.

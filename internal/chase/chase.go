@@ -221,6 +221,8 @@ type Why struct {
 	// cache keys carry.
 	partnerCache map[partnerCacheKey][]graph.NodeID
 	partnerSigs  map[string]int32
+	// refine is GenRefine's reusable scratch.
+	refine refineScratch
 
 	// Stats accumulates search effort across one algorithm run. It is
 	// written only by the algorithm goroutine (beginRun/endRun and the

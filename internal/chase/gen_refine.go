@@ -1,7 +1,9 @@
 package chase
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -102,17 +104,28 @@ func appendReqs(reqs []partnerReq, vs []graph.NodeID, u query.NodeID) []partnerR
 // the Why across chase states: they depend only on v, u's matching
 // signature, and the radius. Stats count a hit or a BFS run per
 // request exactly as one lookup per request, in order, would. The
-// missing sets are computed on the worker pool and inserted into the
-// memo here, on the algorithm goroutine, in first-request order.
+// missing sets are computed on the worker pool, one multi-source BFS
+// per chunk of at most 64 requests at one pattern node, and inserted
+// into the memo here, on the algorithm goroutine, in request order.
 func (pm *partnerMap) partnerSets(reqs []partnerReq) [][]graph.NodeID {
 	w := pm.w
 	out := make([][]graph.NodeID, len(reqs))
+	// The focus's own sets share one backing array.
+	focus := 0
+	for _, r := range reqs {
+		if r.u == pm.q.Focus {
+			focus++
+		}
+	}
+	self := make([]graph.NodeID, 0, focus)
 	// missing lists the requests whose set needs a BFS, one per key.
 	var missing []partnerReq
-	var pending map[partnerCacheKey]bool
+	w.refine.pending = cleared(w.refine.pending)
+	pending := w.refine.pending
 	for i, r := range reqs {
 		if r.u == pm.q.Focus {
-			out[i] = []graph.NodeID{r.v}
+			self = append(self, r.v)
+			out[i] = self[len(self)-1 : len(self) : len(self)]
 			continue
 		}
 		key := pm.key(r)
@@ -125,9 +138,6 @@ func (pm *partnerMap) partnerSets(reqs []partnerReq) [][]graph.NodeID {
 			w.Stats.PartnerHits++
 			continue
 		}
-		if pending == nil {
-			pending = map[partnerCacheKey]bool{}
-		}
 		pending[key] = true
 		missing = append(missing, r)
 		w.Stats.PartnerSets++
@@ -136,12 +146,31 @@ func (pm *partnerMap) partnerSets(reqs []partnerReq) [][]graph.NodeID {
 		return out
 	}
 	sets := make([][]graph.NodeID, len(missing))
+	chunks, order := chunkByNode(missing)
 	g := w.G
-	w.fanOut(len(missing), func(i int) {
-		v, u := missing[i].v, missing[i].u
+	w.fanOut(len(missing), len(chunks), func(c int) {
+		idx := order[chunks[c].from:chunks[c].to]
+		u := missing[idx[0]].u
 		check := &pm.check[u]
-		if label, live := check.LabelID(); live {
-			sets[i] = sortNodes(g.BallFirst(v, pm.pd[u], graph.Both, maxPartnersScored, label,
+		label, live := check.LabelID()
+		if !live {
+			return
+		}
+		var buf [64]graph.NodeID
+		srcs := buf[:len(idx)]
+		for j, m := range idx {
+			srcs[j] = missing[m].v
+		}
+		balls, over := g.BallsFirst(srcs, pm.pd[u], maxPartnersScored, label,
+			func(p graph.NodeID) bool { return check.Candidate(g, p) })
+		for j, m := range idx {
+			if over&(1<<j) == 0 {
+				sets[m] = sortNodes(balls[j])
+				continue
+			}
+			// Over the cap, BFS order decides which partners are kept.
+			v := srcs[j]
+			sets[m] = sortNodes(g.BallFirst(v, pm.pd[u], graph.Both, maxPartnersScored, label,
 				func(p graph.NodeID) bool { return p != v && check.Candidate(g, p) }))
 		}
 	})
@@ -156,6 +185,33 @@ func (pm *partnerMap) partnerSets(reqs []partnerReq) [][]graph.NodeID {
 	return out
 }
 
+// span is the half-open range [from, to) of an index list.
+type span struct{ from, to int }
+
+// chunkByNode groups the requests by pattern node, each group in
+// request order, and splits every group into near-equal chunks of at
+// most 64 requests, one multi-source BFS each. order lists request
+// indices group by group; each chunk is a span of it.
+func chunkByNode(reqs []partnerReq) (chunks []span, order []int) {
+	order = make([]int, len(reqs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(reqs[a].u, reqs[b].u) })
+	for from := 0; from < len(order); {
+		to := from + 1
+		for to < len(order) && reqs[order[to]].u == reqs[order[from]].u {
+			to++
+		}
+		k := (to - from + 63) / 64
+		for c := 0; c < k; c++ {
+			chunks = append(chunks, span{from + (to-from)*c/k, from + (to-from)*(c+1)/k})
+		}
+		from = to
+	}
+	return chunks, order
+}
+
 func (pm *partnerMap) key(r partnerReq) partnerCacheKey {
 	return partnerCacheKey{v: r.v, pd: pm.pd[r.u], sig: pm.sig[r.u]}
 }
@@ -168,10 +224,10 @@ func (pm *partnerMap) key(r partnerReq) partnerCacheKey {
 const minFanOut = 16
 
 // fanOut runs fn over [0, n) on the worker pool, or inline when the
-// batch is too small to pay for waking a helper.
-func (w *Why) fanOut(n int, fn func(i int)) {
+// batch, items of work in all, is too small to pay for waking a helper.
+func (w *Why) fanOut(items, n int, fn func(i int)) {
 	workers := w.workers()
-	if n < minFanOut {
+	if items < minFanOut {
 		workers = 1
 	}
 	w.forEach(workers, n, fn)
@@ -201,15 +257,18 @@ func (w *Why) scoreRefine(pm *partnerMap, im, rm []graph.NodeID, cands []refineC
 	// The refined nodes in first-candidate order, with their candidate
 	// counts and the offset of their sets (IM then RM) in sets.
 	count := make([]int, len(pm.q.Nodes))
-	base := make([]int, len(pm.q.Nodes))
-	var reqs []partnerReq
+	var nodes []query.NodeID
 	for _, c := range cands {
-		u := c.op.U
-		if count[u] == 0 {
-			base[u] = len(reqs)
-			reqs = appendReqs(appendReqs(reqs, im, u), rm, u)
+		if count[c.op.U] == 0 {
+			nodes = append(nodes, c.op.U)
 		}
-		count[u]++
+		count[c.op.U]++
+	}
+	base := make([]int, len(pm.q.Nodes))
+	reqs := make([]partnerReq, 0, len(nodes)*(len(im)+len(rm)))
+	for _, u := range nodes {
+		base[u] = len(reqs)
+		reqs = appendReqs(appendReqs(reqs, im, u), rm, u)
 	}
 	sets := pm.partnerSets(reqs)
 	for u, n := range count {
@@ -219,7 +278,7 @@ func (w *Why) scoreRefine(pm *partnerMap, im, rm []graph.NodeID, cands []refineC
 	}
 	type removal struct{ im, rm []graph.NodeID }
 	removed := make([]removal, len(cands))
-	w.fanOut(len(cands), func(i int) {
+	w.fanOut(len(cands), len(cands), func(i int) {
 		c := &cands[i]
 		b := base[c.op.U]
 		removed[i] = removal{
@@ -304,7 +363,7 @@ func (w *Why) GenRefine(q *query.Query, res *match.Result, used map[string]bool,
 // many RM partners carry them, ties broken by the key "A=a#kind"; a
 // key's literal carries the value seen last under it.
 func (w *Why) genAddL(q *query.Query, rm []graph.NodeID, pm *partnerMap, used map[string]bool) []refineCand {
-	var reqs []partnerReq
+	reqs := make([]partnerReq, 0, len(q.Nodes)*len(rm))
 	for ui := range q.Nodes {
 		reqs = appendReqs(reqs, rm, query.NodeID(ui))
 	}
@@ -316,29 +375,63 @@ func (w *Why) genAddL(q *query.Query, rm []graph.NodeID, pm *partnerMap, used ma
 	return out
 }
 
+// exactVal identifies an attribute value bit for bit: float keys
+// would merge -0 with +0 and never find a NaN again.
+type exactVal struct {
+	aid  int32
+	kind graph.ValueKind
+	bits uint64
+	str  string
+}
+
+type valueCount struct {
+	aid         int32
+	val         graph.Value
+	count, last int
+}
+
+// valueClass is one ranking key with its summed count and the value
+// seen last among the exact values rendering to it.
+type valueClass struct {
+	key string
+	valueCount
+}
+
+// addLPartner is a distinct RM partner in addLCands' scan: its number
+// of counted tuple entries, how many RM sets contain it, and where its
+// last occurrence starts in the full scan.
+type addLPartner struct {
+	v                     graph.NodeID
+	width, mult, lastFrom int
+}
+
+// refineScratch holds the maps and slices GenRefine rebuilds for every
+// batch and pattern node. The algorithm goroutine alone runs GenRefine,
+// so one set per Why is reused, cleared, instead of allocated afresh.
+type refineScratch struct {
+	pending   map[partnerCacheKey]bool
+	partIndex map[graph.NodeID]int
+	parts     []addLPartner
+	index     map[exactVal]int
+	counts    []valueCount
+	classOf   map[string]int
+	classes   []valueClass
+}
+
+// cleared returns m emptied, or a new map when m is nil.
+func cleared[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return map[K]V{}
+	}
+	clear(m)
+	return m
+}
+
 // addLCands ranks the values the RM partner sets rmSets carry at u and
 // returns genAddL's candidates for u.
 func (w *Why) addLCands(q *query.Query, u query.NodeID, rmSets [][]graph.NodeID, used map[string]bool) []refineCand {
 	const maxValuesPerAttr = 6
-	// exactVal identifies an attribute value bit for bit: float keys
-	// would merge -0 with +0 and never find a NaN again.
-	type exactVal struct {
-		aid  int32
-		kind graph.ValueKind
-		bits uint64
-		str  string
-	}
-	type valueCount struct {
-		aid         int32
-		val         graph.Value
-		count, last int
-	}
-	// valueClass is one ranking key with its summed count and the
-	// value seen last among the exact values rendering to it.
-	type valueClass struct {
-		key string
-		valueCount
-	}
+	sc := &w.refine
 	numAttrs := w.G.Attrs.Len()
 	// Count exact attribute values over RM partners at u. skip holds,
 	// per attribute id, 0 (undecided), 1 (counted) or 2 (already
@@ -359,12 +452,8 @@ func (w *Why) addLCands(q *query.Query, u query.NodeID, rmSets [][]graph.NodeID,
 	// partners carrying it; its position in the full scan (counted
 	// entries only) is the start of its partner's last occurrence plus
 	// its rank among the partner's counted entries.
-	type partner struct {
-		v                     graph.NodeID
-		width, mult, lastFrom int
-	}
-	var parts []partner
-	partIndex := map[graph.NodeID]int{}
+	sc.partIndex = cleared(sc.partIndex)
+	parts, partIndex := sc.parts[:0], sc.partIndex
 	scanned := 0
 	for _, ps := range rmSets {
 		for _, p := range ps {
@@ -378,15 +467,16 @@ func (w *Why) addLCands(q *query.Query, u query.NodeID, rmSets [][]graph.NodeID,
 						width++
 					}
 				}
-				parts = append(parts, partner{v: p, width: width})
+				parts = append(parts, addLPartner{v: p, width: width})
 			}
 			parts[i].mult++
 			parts[i].lastFrom = scanned
 			scanned += parts[i].width
 		}
 	}
-	index := map[exactVal]int{}
-	var counts []valueCount
+	sc.parts = parts
+	sc.index = cleared(sc.index)
+	index, counts := sc.index, sc.counts[:0]
 	for _, pt := range parts {
 		rank := 0
 		for _, t := range w.G.Tuple(pt.v) {
@@ -409,8 +499,9 @@ func (w *Why) addLCands(q *query.Query, u query.NodeID, rmSets [][]graph.NodeID,
 		}
 	}
 	// Merge exact values into ranking keys, rendered once each.
-	classOf := map[string]int{}
-	var classes []valueClass
+	sc.counts = counts
+	sc.classOf = cleared(sc.classOf)
+	classOf, classes := sc.classOf, sc.classes[:0]
 	for _, c := range counts {
 		key := w.G.Attrs.Name(c.aid) + "=" + c.val.String() + kindOf(c.val)
 		i, ok := classOf[key]
@@ -425,6 +516,7 @@ func (w *Why) addLCands(q *query.Query, u query.NodeID, rmSets [][]graph.NodeID,
 			cl.aid, cl.val, cl.last = c.aid, c.val, c.last
 		}
 	}
+	sc.classes = classes
 	sort.Slice(classes, func(i, j int) bool {
 		if classes[i].count != classes[j].count {
 			return classes[i].count > classes[j].count
@@ -475,7 +567,6 @@ func (w *Why) genRfL(q *query.Query, rm []graph.NodeID, pm *partnerMap, used map
 		l query.Literal
 	}
 	var targets []target
-	var reqs []partnerReq
 	for ui := range q.Nodes {
 		u := query.NodeID(ui)
 		for _, l := range q.Nodes[u].Literals {
@@ -483,8 +574,11 @@ func (w *Why) genRfL(q *query.Query, rm []graph.NodeID, pm *partnerMap, used map
 				continue
 			}
 			targets = append(targets, target{u: u, l: l})
-			reqs = appendReqs(reqs, rm, u)
 		}
+	}
+	reqs := make([]partnerReq, 0, len(targets)*len(rm))
+	for _, t := range targets {
+		reqs = appendReqs(reqs, rm, t.u)
 	}
 	sets := pm.partnerSets(reqs)
 	var cands []refineCand

@@ -3,6 +3,7 @@ package chase
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -427,5 +428,105 @@ func TestPartnerSetsSharedKeys(t *testing.T) {
 	pm.partnerSets(reqs)
 	if w.Stats.PartnerSets != 3 || w.Stats.PartnerHits != 9 {
 		t.Errorf("second batch: %d sets, %d hits in total; want 3, 9", w.Stats.PartnerSets, w.Stats.PartnerHits)
+	}
+}
+
+// TestPartnerSetsMatchBallFirst checks every set the batched partner
+// lookup returns against one BallFirst per request, at one and four
+// workers, with the requests shuffled across pattern nodes. The
+// fixture has 150 focus matches (more than 64 requests at each node), a
+// focus match linked to every partner (over the cap at radius 1), a hub
+// that puts the wildcard node's radius-2 balls over the cap, a node
+// whose literal names an absent attribute (a dead check), and the
+// focus itself.
+func TestPartnerSetsMatchBallFirst(t *testing.T) {
+	const nFocus, nPartners = 150, 300
+	g := graph.New()
+	var focus []graph.NodeID
+	for i := 0; i < nFocus; i++ {
+		focus = append(focus, g.AddNode("F", map[string]graph.Value{"k": graph.N(float64(i % 2))}))
+	}
+	var partners []graph.NodeID
+	for i := 0; i < nPartners; i++ {
+		partners = append(partners, g.AddNode("P", map[string]graph.Value{"c": graph.N(float64(i % 4))}))
+	}
+	hub := g.AddNode("H", nil)
+	for i, f := range focus {
+		for j := 0; j < 3; j++ {
+			g.AddEdge(f, partners[(7*i+j)%nPartners], "e")
+		}
+		if i%10 == 5 {
+			g.AddEdge(f, hub, "h")
+		}
+	}
+	for _, p := range partners {
+		g.AddEdge(focus[0], p, "e")
+	}
+	for _, p := range partners[:200] {
+		g.AddEdge(hub, p, "h")
+	}
+	q := &query.Query{
+		Nodes: []query.Node{
+			{Label: "F"},
+			{Label: "P", Literals: []query.Literal{{Attr: "c", Op: graph.LE, Val: graph.N(2)}}},
+			{Label: ""},
+			{Label: "P", Literals: []query.Literal{{Attr: "absent", Op: graph.EQ, Val: graph.N(1)}}},
+		},
+		Edges: []query.Edge{{From: 0, To: 1, Bound: 1}, {From: 1, To: 2, Bound: 1}, {From: 0, To: 3, Bound: 1}},
+		Focus: 0,
+	}
+	e := &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{{"k": exemplar.C(graph.N(1))}}}
+	var reqs []partnerReq
+	for u := range q.Nodes {
+		reqs = appendReqs(reqs, focus, query.NodeID(u))
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+
+	// want is the set one BallFirst per request computes.
+	want := func(pm *partnerMap, r partnerReq) []graph.NodeID {
+		if r.u == q.Focus {
+			return []graph.NodeID{r.v}
+		}
+		check := q.Check(g, r.u)
+		label, live := check.LabelID()
+		if !live {
+			return nil
+		}
+		return sortNodes(g.BallFirst(r.v, pm.pd[r.u], graph.Both, maxPartnersScored, label,
+			func(p graph.NodeID) bool { return p != r.v && check.Candidate(g, p) }))
+	}
+	for _, workers := range []int{1, 4} {
+		w, err := NewWhy(g, q, e, Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm := newPartnerMap(w, q)
+		if pm.pd[2] != 2 {
+			t.Fatalf("wildcard node radius %d, want 2", pm.pd[2])
+		}
+		capped := map[query.NodeID]int{}
+		for pass := 1; pass <= 2; pass++ {
+			sets := pm.partnerSets(reqs)
+			for i, r := range reqs {
+				ref := want(pm, r)
+				if len(sets[i]) != len(ref) || len(ref) > 0 && !reflect.DeepEqual(sets[i], ref) {
+					t.Fatalf("workers %d pass %d: node %d, focus match %d: got %v, want %v",
+						workers, pass, r.u, r.v, sets[i], ref)
+				}
+				if pass == 1 && len(ref) == maxPartnersScored {
+					capped[r.u]++
+				}
+			}
+			// One set per focus match at each non-focus node, computed
+			// once; the second pass serves them all from the memo.
+			keys := nFocus * (len(q.Nodes) - 1)
+			if w.Stats.PartnerSets != keys || w.Stats.PartnerHits != (pass-1)*keys {
+				t.Errorf("workers %d pass %d: %d sets, %d hits; want %d, %d",
+					workers, pass, w.Stats.PartnerSets, w.Stats.PartnerHits, keys, (pass-1)*keys)
+			}
+		}
+		if capped[1] == 0 || capped[2] == 0 {
+			t.Errorf("fixture lost its over-cap sources: %v sets at the cap per node", capped)
+		}
 	}
 }

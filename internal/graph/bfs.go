@@ -1,6 +1,9 @@
 package graph
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Unreachable is returned by distance queries when no path exists within
 // the requested bound.
@@ -152,6 +155,171 @@ func (g *Graph) BallFirst(v NodeID, maxHops int, dir Direction, limit int, label
 		start = end
 	}
 	return out
+}
+
+// msNode is one node's state in a multi-source search, one bit per
+// source: the sources that have reached it, and those reaching it for
+// the first time in the level being expanded.
+type msNode struct {
+	seen, next uint64
+}
+
+// nodeBits is a node with a set of sources: on the frontier, those it
+// expands for; on the kept list, those that keep it.
+type nodeBits struct {
+	v    NodeID
+	bits uint64
+}
+
+// msScratch is BallsFirst's reusable state. Only nodes on the touched
+// list carry nonzero state and they are reset through it, so a call
+// costs O(union of the balls), not O(|V|). keepState caches keep per
+// node: 0 not asked yet, 1 kept, 2 rejected.
+type msScratch struct {
+	st        []msNode
+	keepState []uint8
+	touched   []NodeID
+	level     []NodeID // nodes reached for the first time by some source in this level
+	front     []nodeBits
+	kept      []nodeBits
+}
+
+var msPool = sync.Pool{New: func() interface{} { return &msScratch{} }}
+
+// reach records that the sources in bits arrive at x in the level being
+// expanded; those that have been there already are ignored.
+func (sc *msScratch) reach(x NodeID, bits uint64) {
+	s := &sc.st[x]
+	nb := bits &^ s.seen
+	if nb == 0 {
+		return
+	}
+	if s.seen == 0 {
+		sc.touched = append(sc.touched, x)
+	}
+	if s.next == 0 {
+		sc.level = append(sc.level, x)
+	}
+	s.next |= nb
+	s.seen |= nb
+}
+
+// BallsFirst runs one undirected BFS of radius maxHops from up to 64
+// sources at once (Then et al., "The More the Merrier", PVLDB 2014):
+// every node carries one bit per source, so a node reached by several
+// sources is expanded once per level for all of them. sets[i] holds,
+// in discovery order, the nodes within maxHops of srcs[i], other than
+// srcs[i] itself, that carry the interned label (0 admits every node)
+// and satisfy keep. keep is called at most once per reached node, and
+// only for nodes with the right label.
+//
+// A source whose kept count passes limit is dropped from the search at
+// the end of that level: its bit is set in over and its set is nil.
+// Every other set is the whole filtered ball, exactly the set
+// BallFirst(srcs[i], maxHops, Both, limit, label, p != srcs[i] &&
+// keep(p)) returns; only above the cap does BallFirst's BFS order
+// decide which nodes it keeps. The sets share one freshly allocated
+// backing array; each is nil when empty.
+//
+// invariant: callers pass at most 64 sources, one bit of a mask each;
+// more is a caller bug, and BallsFirst panics on it.
+func (g *Graph) BallsFirst(srcs []NodeID, maxHops, limit int, label int32, keep func(NodeID) bool) (sets [][]NodeID, over uint64) {
+	if len(srcs) > 64 {
+		panic("graph: BallsFirst takes at most 64 sources")
+	}
+	if len(srcs) == 0 {
+		return nil, 0
+	}
+	g.ensure()
+	sc := msPool.Get().(*msScratch)
+	defer msPool.Put(sc)
+	if n := g.NumNodes(); len(sc.st) < n {
+		sc.st = make([]msNode, n)
+		sc.keepState = make([]uint8, n)
+	}
+	defer func() {
+		for _, x := range sc.touched {
+			sc.st[x] = msNode{}
+			sc.keepState[x] = 0
+		}
+		sc.touched, sc.level, sc.front, sc.kept = sc.touched[:0], sc.level[:0], sc.front[:0], sc.kept[:0]
+	}()
+
+	var count [64]int
+	active := ^uint64(0) >> (64 - len(srcs))
+	for i, s := range srcs {
+		sc.reach(s, 1<<i)
+	}
+	for d := 0; ; d++ {
+		// Close the level: keep its new nodes for the sources that
+		// reached them, then make them the next frontier.
+		sc.front = sc.front[:0]
+		for _, x := range sc.level {
+			reached := sc.st[x].next
+			sc.st[x].next = 0
+			if keepers := reached & active; d > 0 && keepers != 0 && (label == 0 || g.labels[x] == label) {
+				if sc.keepState[x] == 0 {
+					sc.keepState[x] = 2
+					if keep(x) {
+						sc.keepState[x] = 1
+					}
+				}
+				if sc.keepState[x] == 1 {
+					sc.kept = append(sc.kept, nodeBits{v: x, bits: keepers})
+					for b := keepers; b != 0; b &= b - 1 {
+						i := bits.TrailingZeros64(b)
+						if count[i]++; count[i] > limit {
+							over |= 1 << i
+							active &^= 1 << i
+						}
+					}
+				}
+			}
+			if d < maxHops {
+				sc.front = append(sc.front, nodeBits{v: x, bits: reached})
+			}
+		}
+		sc.level = sc.level[:0]
+		if d == maxHops || len(sc.front) == 0 || active == 0 {
+			break
+		}
+		for _, f := range sc.front {
+			b := f.bits & active
+			if b == 0 {
+				continue
+			}
+			for _, e := range g.outEdges[g.outOff[f.v]:g.outOff[f.v+1]] {
+				sc.reach(e.To, b)
+			}
+			for _, e := range g.inEdges[g.inOff[f.v]:g.inOff[f.v+1]] {
+				sc.reach(e.To, b)
+			}
+		}
+	}
+
+	// Lay the surviving sets out in one backing array, in discovery
+	// order.
+	sets = make([][]NodeID, len(srcs))
+	total := 0
+	for i := range srcs {
+		if over&(1<<i) == 0 {
+			total += count[i]
+		}
+	}
+	arena := make([]NodeID, total)
+	for i := range srcs {
+		if over&(1<<i) == 0 && count[i] > 0 {
+			sets[i] = arena[:0:count[i]]
+			arena = arena[count[i]:]
+		}
+	}
+	for _, k := range sc.kept {
+		for b := k.bits &^ over; b != 0; b &= b - 1 {
+			i := bits.TrailingZeros64(b)
+			sets[i] = append(sets[i], k.v)
+		}
+	}
+	return sets, over
 }
 
 // Dist returns the length of the shortest directed path from → to,

@@ -313,6 +313,152 @@ func TestBallFirstMatchesFilteredBall(t *testing.T) {
 	}
 }
 
+// hubGraph builds a seeded random graph with the shapes a multi-source
+// search must survive: a hub linked to every third node in either
+// direction, self-loops, parallel edges, and isolated nodes at the end.
+func hubGraph(seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	const n, isolated = 60, 5
+	g := New()
+	labels := []string{"A", "B", "C"}
+	for i := 0; i < n; i++ {
+		g.AddNode(labels[rng.Intn(len(labels))], map[string]Value{"x": N(float64(rng.Intn(10)))})
+	}
+	live := n - isolated
+	for i := 0; i < 70; i++ {
+		a, b := NodeID(rng.Intn(live)), NodeID(rng.Intn(live))
+		g.AddEdge(a, b, "e")
+		if i%7 == 0 {
+			g.AddEdge(a, b, "e")
+		}
+	}
+	for v := 1; v < live; v += 3 {
+		if rng.Intn(2) == 0 {
+			g.AddEdge(0, NodeID(v), "h")
+		} else {
+			g.AddEdge(NodeID(v), 0, "h")
+		}
+	}
+	for i := 0; i < 4; i++ {
+		v := NodeID(rng.Intn(live))
+		g.AddEdge(v, v, "self")
+	}
+	return g
+}
+
+// TestBallsFirstMatchesBallFirst checks the multi-source search against
+// one BallFirst per source: a source is over the cap iff BallFirst
+// with limit+1 finds more than limit nodes, and otherwise its set is
+// BallFirst's, in nondecreasing distance from the source. keep must
+// run at most once per node per search, and only on nodes with the
+// label. The seeds run in parallel, so the pooled scratch is shared
+// across goroutines.
+func TestBallsFirstMatchesBallFirst(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			t.Parallel()
+			ballsFirstMatchesBallFirst(t, seed)
+		})
+	}
+}
+
+func ballsFirstMatchesBallFirst(t *testing.T, seed int64) {
+	g := hubGraph(seed)
+	rng := rand.New(rand.NewSource(seed))
+	lidB, _ := g.Labels.Lookup("B")
+	xid, _ := g.Attrs.Lookup("x")
+	pred := func(v NodeID) bool {
+		x, _ := g.AttrByID(v, xid)
+		return int(x.Num)%3 != 0
+	}
+	overs, nonEmpty := 0, 0
+	check := func(srcs []NodeID, hops, limit int, label int32) {
+		calls := map[NodeID]int{}
+		keep := func(v NodeID) bool {
+			if label != 0 && g.LabelID(v) != label {
+				t.Fatalf("keep called on node %d of label %d, want %d", v, g.LabelID(v), label)
+			}
+			calls[v]++
+			return pred(v)
+		}
+		sets, over := g.BallsFirst(srcs, hops, limit, label, keep)
+		for v, c := range calls {
+			if c > 1 {
+				t.Fatalf("keep called %d times on node %d", c, v)
+			}
+		}
+		if len(sets) != len(srcs) {
+			t.Fatalf("%d sets for %d sources", len(sets), len(srcs))
+		}
+		for i, src := range srcs {
+			ref := g.BallFirst(src, hops, Both, limit+1, label,
+				func(p NodeID) bool { return p != src && pred(p) })
+			where := fmt.Sprintf("label %d sources %d hops %d limit %d: source %d (node %d)",
+				label, len(srcs), hops, limit, i, src)
+			if got, want := over&(1<<i) != 0, len(ref) > limit; got != want {
+				t.Fatalf("%s: over %v, want %v (BallFirst found %v)", where, got, want, ref)
+			}
+			if over&(1<<i) != 0 {
+				overs++
+				if sets[i] != nil {
+					t.Fatalf("%s: over the cap but got set %v", where, sets[i])
+				}
+				continue
+			}
+			dist := map[NodeID]int32{}
+			for _, nd := range g.Ball(src, hops, Both) {
+				dist[nd.V] = nd.D
+			}
+			for j := 1; j < len(sets[i]); j++ {
+				if dist[sets[i][j]] < dist[sets[i][j-1]] {
+					t.Fatalf("%s: set %v is not in discovery order", where, sets[i])
+				}
+			}
+			if len(sets[i]) > 0 {
+				nonEmpty++
+			}
+			got := append([]NodeID(nil), sets[i]...)
+			sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
+			sort.Slice(ref, func(a, b int) bool { return ref[a] < ref[b] })
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s: got %v, want %v", where, got, ref)
+			}
+		}
+	}
+	for _, label := range []int32{0, lidB} {
+		for _, nsrc := range []int{1, 2, 7, 33, 64} {
+			srcs := make([]NodeID, nsrc)
+			for i := range srcs {
+				srcs[i] = NodeID(rng.Intn(g.NumNodes()))
+			}
+			for hops := 0; hops <= 4; hops++ {
+				for _, limit := range []int{1, 2, 96} {
+					check(srcs, hops, limit, label)
+				}
+			}
+		}
+	}
+	if overs == 0 || nonEmpty == 0 {
+		t.Errorf("fixture decides only one way: %d sources over the cap, %d non-empty sets", overs, nonEmpty)
+	}
+}
+
+// TestBallsFirstSourceLimit checks the edge cases of the source list:
+// none gives no sets, and more than 64 is a caller bug.
+func TestBallsFirstSourceLimit(t *testing.T) {
+	g := hubGraph(0)
+	keep := func(NodeID) bool { return true }
+	if sets, over := g.BallsFirst(nil, 3, 5, 0, keep); sets != nil || over != 0 {
+		t.Errorf("no sources: got %v, %#x", sets, over)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("65 sources did not panic")
+		}
+	}()
+	g.BallsFirst(make([]NodeID, 65), 3, 5, 0, keep)
+}
+
 func TestDiameter(t *testing.T) {
 	g := chain(7)
 	if d := g.Diameter(); d != 6 {
